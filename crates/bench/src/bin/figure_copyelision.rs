@@ -113,13 +113,7 @@ struct Row {
 fn main() {
     let _trace = harness::trace_from_env();
     let cfg = harness::config_from_args();
-    let json_path: Option<PathBuf> = {
-        let argv: Vec<String> = std::env::args().collect();
-        argv.iter()
-            .position(|a| a == "--json")
-            .and_then(|i| argv.get(i + 1))
-            .map(PathBuf::from)
-    };
+    let json_path: Option<PathBuf> = harness::arg_value("--json").map(PathBuf::from);
     let n = ((4096.0 * cfg.scale) as usize).max(256);
     let best_of = cfg.runs.max(1);
 

@@ -134,12 +134,7 @@ struct WarmRow {
 fn main() {
     let _trace = harness::trace_from_env();
     let cfg = harness::config_from_args();
-    let argv: Vec<String> = std::env::args().collect();
-    let json_path: Option<PathBuf> = argv
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| argv.get(i + 1))
-        .map(PathBuf::from);
+    let json_path: Option<PathBuf> = harness::arg_value("--json").map(PathBuf::from);
     // First-call latency is compile-dominated; a small problem size
     // isolates the share-vs-compile contrast. Override with --scale.
     let scale = cfg.scale.min(0.05);

@@ -70,22 +70,14 @@ struct Row {
     speedup: f64,
 }
 
-fn arg_after(argv: &[String], flag: &str) -> Option<String> {
-    argv.iter()
-        .position(|a| a == flag)
-        .and_then(|i| argv.get(i + 1))
-        .cloned()
-}
-
 fn main() {
     let _trace = harness::trace_from_env();
     let cfg = harness::config_from_args();
-    let argv: Vec<String> = std::env::args().collect();
-    let json_path: Option<PathBuf> = arg_after(&argv, "--json").map(PathBuf::from);
-    let threads: usize = arg_after(&argv, "--threads")
+    let json_path: Option<PathBuf> = harness::arg_value("--json").map(PathBuf::from);
+    let threads: usize = harness::arg_value("--threads")
         .and_then(|s| s.parse().ok())
         .unwrap_or(4);
-    let target: f64 = arg_after(&argv, "--target")
+    let target: f64 = harness::arg_value("--target")
         .and_then(|s| s.parse().ok())
         .unwrap_or(2.0);
     let best_of = cfg.runs.max(1);

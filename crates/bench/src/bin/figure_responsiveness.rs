@@ -74,14 +74,9 @@ fn first_call(
 fn main() {
     let _trace = harness::trace_from_env();
     let cfg = harness::config_from_args();
-    let workers: usize = {
-        let argv: Vec<String> = std::env::args().collect();
-        argv.iter()
-            .position(|a| a == "--workers")
-            .and_then(|i| argv.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(2)
-    };
+    let workers: usize = harness::arg_value("--workers")
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(2);
     // First-call latency is compile-dominated, so a small problem size
     // makes the responsiveness gap starkest; override with --scale.
     let scale = cfg.scale.min(0.05);

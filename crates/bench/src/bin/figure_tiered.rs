@@ -85,8 +85,8 @@ impl Arm {
             .unwrap_or_else(|e| panic!("{}: {e}", b.name));
         digests.push(digest(&out[0]));
         if tiered {
-            m.background().wait();
-            let [_, t1] = m.repository().tier_versions();
+            m.service().background().wait();
+            let [_, t1] = m.service().repository().tier_versions();
             assert!(t1 > 0, "{}: nothing promoted at threshold 1", b.name);
         }
         for _ in 0..WARMUP_CALLS {
@@ -128,15 +128,10 @@ struct Row {
 fn main() {
     let _trace = harness::trace_from_env();
     let mut cfg = harness::config_from_args();
-    let argv: Vec<String> = std::env::args().collect();
-    if !argv.iter().any(|a| a == "--platform") {
+    if !std::env::args().any(|a| a == "--platform") {
         cfg.platform = Platform::Mips;
     }
-    let json_path: Option<PathBuf> = argv
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| argv.get(i + 1))
-        .map(PathBuf::from);
+    let json_path: Option<PathBuf> = harness::arg_value("--json").map(PathBuf::from);
     // Steady state is execution-dominated; the default quarter scale
     // keeps the 16-benchmark sweep quick while each call is long enough
     // for the loops to dominate both dispatch and timer noise.
@@ -173,7 +168,7 @@ fn main() {
             b.name
         );
         assert!(
-            t1.m.repository().stats().tier1_hits > 0,
+            t1.m.service().repository().stats().tier1_hits > 0,
             "{}: promoted version never dispatched",
             b.name
         );

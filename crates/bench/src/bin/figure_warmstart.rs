@@ -53,7 +53,7 @@ fn first_call(
         .call(b.entry, args, 1)
         .unwrap_or_else(|e| panic!("{}: {e}", b.name));
     let took = t0.elapsed();
-    let installed = m.cache_report().installed;
+    let installed = m.service().cache_report().installed;
     let result = out
         .first()
         .and_then(|v| v.to_scalar().ok())
@@ -61,7 +61,7 @@ fn first_call(
     // Don't let the drop-flush write back into the shared cache file
     // while other runs race it: detach by saving explicitly first.
     if cache.is_some() {
-        m.save_cache().expect("cache flush");
+        m.service().save_cache().expect("cache flush");
     }
     (took, result, installed)
 }
@@ -78,12 +78,7 @@ struct Row {
 fn main() {
     let _trace = harness::trace_from_env();
     let cfg = harness::config_from_args();
-    let argv: Vec<String> = std::env::args().collect();
-    let json_path: Option<PathBuf> = argv
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| argv.get(i + 1))
-        .map(PathBuf::from);
+    let json_path: Option<PathBuf> = harness::arg_value("--json").map(PathBuf::from);
     // First-call latency is compile-dominated; a small problem size
     // isolates the compile-vs-load contrast. Override with --scale.
     let scale = cfg.scale.min(0.05);
@@ -110,7 +105,7 @@ fn main() {
             m.load_source(b.source).expect("benchmark parses");
             m.call(b.entry, &args, 1)
                 .unwrap_or_else(|e| panic!("{}: {e}", b.name));
-            m.save_cache().expect("cache populate");
+            m.service().save_cache().expect("cache populate");
         }
 
         let mut cold = Duration::MAX;

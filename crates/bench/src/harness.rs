@@ -187,6 +187,14 @@ impl Drop for TraceSession {
     }
 }
 
+/// The argument after `flag` on the command line (`--json out.json`
+/// gives `Some("out.json")` for `"--json"`), if both are present.
+pub fn arg_value(flag: &str) -> Option<String> {
+    let mut args = std::env::args();
+    args.find(|a| a == flag)?;
+    args.next()
+}
+
 /// Parse `--scale X` / `--platform sparc|mips` / `--runs N` from argv.
 pub fn config_from_args() -> MeasureConfig {
     let mut cfg = MeasureConfig::default();

@@ -40,7 +40,7 @@ fn run(
         match spec_workers {
             Some(n) => {
                 m.speculate_background(n);
-                m.background().wait();
+                m.service().background().wait();
             }
             None => {
                 m.speculate_all();

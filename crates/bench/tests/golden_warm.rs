@@ -34,9 +34,9 @@ fn run(b: &majic_bench::Benchmark, args: &[Value], cache: Option<&Path>) -> (Vec
     let out = m
         .call(b.entry, args, 1)
         .unwrap_or_else(|e| panic!("{}: {e}", b.entry));
-    let installed = m.cache_report().installed;
+    let installed = m.service().cache_report().installed;
     if cache.is_some() {
-        m.save_cache().unwrap();
+        m.service().save_cache().unwrap();
     }
     (digest(&out[0]), installed)
 }

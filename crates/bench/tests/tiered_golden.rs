@@ -53,8 +53,8 @@ fn all_benchmarks_bitwise_identical_across_tiers() {
                 tiered.load_source(b.source).unwrap();
                 let cold = digest(&tiered.call(b.entry, &args, 1).unwrap()[0]);
                 assert_eq!(first, cold, "{}: tier-0 run diverged", b.name);
-                tiered.background().wait();
-                let [_, t1_versions] = tiered.repository().tier_versions();
+                tiered.service().background().wait();
+                let [_, t1_versions] = tiered.service().repository().tier_versions();
                 assert!(
                     t1_versions > 0,
                     "{}: nothing promoted at threshold 1",
@@ -63,7 +63,7 @@ fn all_benchmarks_bitwise_identical_across_tiers() {
                 let hot = digest(&tiered.call(b.entry, &args, 1).unwrap()[0]);
                 assert_eq!(second, hot, "{}: tier-1 result differs from tier-0", b.name);
                 assert!(
-                    tiered.repository().stats().tier1_hits > 0,
+                    tiered.service().repository().stats().tier1_hits > 0,
                     "{}: promoted version never dispatched",
                     b.name
                 );

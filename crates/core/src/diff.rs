@@ -185,6 +185,7 @@ fn run_mode(case: &DiffCase, mode: ExecMode, label: &'static str) -> ModeRun {
         None
     } else {
         session
+            .service()
             .repository()
             .lookup(&case.entry, &signature_of(&case.args))
             .map(|v| v.output_types.clone())
@@ -230,7 +231,7 @@ fn run_warm(case: &DiffCase) -> ModeRun {
         // warm session below is the measured one) and flush to disk.
         let _ = a.call(&case.entry, &case.args, case.nargout);
         let _ = a.take_printed();
-        let _ = a.save_cache();
+        let _ = a.service().save_cache();
         drop(a);
 
         let mut b = Majic::with_mode(ExecMode::Jit);
@@ -249,6 +250,7 @@ fn run_warm(case: &DiffCase) -> ModeRun {
         let result = b.call(&case.entry, &case.args, case.nargout);
         let printed = b.take_printed();
         let output_types = b
+            .service()
             .repository()
             .lookup(&case.entry, &signature_of(&case.args))
             .map(|v| v.output_types.clone());

@@ -21,6 +21,7 @@ use majic_types::{Lattice, Range, Signature, Type};
 use majic_vm::{execute, Dispatcher, RegAllocMode};
 use std::collections::{HashMap, HashSet};
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -201,10 +202,10 @@ impl EngineOptionsBuilder {
 /// results.
 ///
 /// Overridable per process through the `MAJIC_TIER` environment
-/// variable, read by [`Majic::new`] and
-/// [`crate::CompilerService::new`]: `off`/`0`/`false` disables
-/// promotion, `on`/`true` restores the defaults, and a positive integer
-/// sets the hotness threshold (see [`crate::env`]).
+/// variable, read by [`crate::CompilerService::new`] (and so by
+/// [`Majic::new`]): `off`/`0`/`false`/`no` disables promotion,
+/// `on`/`true`/`yes` enables it, and a positive integer enables it with
+/// that hotness threshold.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TierOptions {
     /// Master switch for hot promotion.
@@ -222,6 +223,49 @@ impl Default for TierOptions {
             enabled: true,
             threshold: 10_000,
             workers: 1,
+        }
+    }
+}
+
+impl TierOptions {
+    /// The defaults with `MAJIC_TIER` applied. This is the one reader of
+    /// that variable.
+    pub(crate) fn from_env() -> TierOptions {
+        TierOptions::default().with_env(std::env::var("MAJIC_TIER").ok().as_deref())
+    }
+
+    /// Apply a `MAJIC_TIER` value on top of `self`. Unparseable values
+    /// warn once per process and leave `self` unchanged
+    /// (misconfiguration must never break a session).
+    fn with_env(self, value: Option<&str>) -> TierOptions {
+        let Some(v) = value else { return self };
+        match v.trim().to_ascii_lowercase().as_str() {
+            "" => self,
+            "off" | "0" | "false" | "no" => TierOptions {
+                enabled: false,
+                ..self
+            },
+            "on" | "true" | "yes" => TierOptions {
+                enabled: true,
+                ..self
+            },
+            s => match s.parse::<u64>() {
+                Ok(n) => TierOptions {
+                    enabled: true,
+                    threshold: n,
+                    ..self
+                },
+                Err(_) => {
+                    static WARNED: AtomicBool = AtomicBool::new(false);
+                    if !WARNED.swap(true, Ordering::Relaxed) {
+                        eprintln!(
+                            "majic: unrecognized MAJIC_TIER value {v:?} \
+                             (want off/on or a threshold integer); ignoring"
+                        );
+                    }
+                    self
+                }
+            },
         }
     }
 }
@@ -351,113 +395,25 @@ impl Majic {
         m
     }
 
-    /// A fresh session with fully specified options.
+    /// A fresh session with fully specified options (`MAJIC_TIER` is
+    /// *not* consulted — this is the explicit-configuration path).
+    ///
+    /// ```
+    /// use majic::{EngineOptions, ExecMode, Majic, Platform};
+    ///
+    /// let mut session = Majic::with_options(
+    ///     EngineOptions::builder()
+    ///         .mode(ExecMode::Jit)
+    ///         .platform(Platform::Mips)
+    ///         .threads(Some(1))
+    ///         .build(),
+    /// );
+    /// session.load_source("function y = sq(x)\ny = x * x;\n").unwrap();
+    /// let out = session.call("sq", &[4.0f64.into()], 1).unwrap();
+    /// assert_eq!(out[0].to_scalar().unwrap(), 16.0);
+    /// ```
     pub fn with_options(options: EngineOptions) -> Majic {
         Majic(CompilerService::with_options(options).session())
-    }
-
-    /// A fluent builder: pick the switches by name, get a ready
-    /// session.
-    ///
-    /// ```
-    /// use majic::{ExecMode, Majic, Platform};
-    ///
-    /// let mut session = Majic::builder()
-    ///     .mode(ExecMode::Jit)
-    ///     .platform(Platform::Mips)
-    ///     .threads(Some(1))
-    ///     .build();
-    /// session.load_source("function y = sq(x)\ny = x * x;\n").unwrap();
-    /// assert_eq!(
-    ///     session.call("sq", &[4.0f64.into()], 1).unwrap()[0]
-    ///         .to_scalar()
-    ///         .unwrap(),
-    ///     16.0
-    /// );
-    /// ```
-    pub fn builder() -> MajicBuilder {
-        MajicBuilder {
-            opts: EngineOptions::builder(),
-        }
-    }
-
-    /// The service behind this facade (background handle, audit flag,
-    /// cache lifecycle, more sessions).
-    pub fn service(&self) -> &CompilerService {
-        self.0.service()
-    }
-
-    /// Turn the *process-wide* compilation audit log on or off.
-    #[deprecated(
-        note = "audit enablement is per service now: use `CompilerService::set_audit` or \
-                `Session::set_audit_enabled`"
-    )]
-    pub fn set_audit(on: bool) {
-        majic_trace::audit::set_enabled(on);
-    }
-}
-
-/// Builder returned by [`Majic::builder`]: the [`EngineOptionsBuilder`]
-/// switches plus a [`MajicBuilder::build`] that starts the session.
-#[derive(Clone, Copy, Debug)]
-pub struct MajicBuilder {
-    opts: EngineOptionsBuilder,
-}
-
-impl MajicBuilder {
-    /// Set the execution mode.
-    pub fn mode(mut self, mode: ExecMode) -> Self {
-        self.opts = self.opts.mode(mode);
-        self
-    }
-
-    /// Set the type-inference switches.
-    pub fn infer(mut self, infer: InferOptions) -> Self {
-        self.opts = self.opts.infer(infer);
-        self
-    }
-
-    /// Set the register-allocation mode.
-    pub fn regalloc(mut self, regalloc: RegAllocMode) -> Self {
-        self.opts = self.opts.regalloc(regalloc);
-        self
-    }
-
-    /// Enable or disable array oversizing on resizes.
-    pub fn oversize(mut self, oversize: bool) -> Self {
-        self.opts = self.opts.oversize(oversize);
-        self
-    }
-
-    /// Enable or disable function inlining.
-    pub fn inline(mut self, inline: bool) -> Self {
-        self.opts = self.opts.inline(inline);
-        self
-    }
-
-    /// Set the simulated platform.
-    pub fn platform(mut self, platform: Platform) -> Self {
-        self.opts = self.opts.platform(platform);
-        self
-    }
-
-    /// Set the tiered-recompilation knobs.
-    pub fn tier(mut self, tier: TierOptions) -> Self {
-        self.opts = self.opts.tier(tier);
-        self
-    }
-
-    /// Set the data-parallel kernel thread count.
-    pub fn threads(mut self, threads: Option<usize>) -> Self {
-        self.opts = self.opts.threads(threads);
-        self
-    }
-
-    /// Start the session. `MAJIC_TIER` is *not* consulted — the builder
-    /// is the explicit-configuration path ([`Majic::new`] is the
-    /// environment-sensitive one).
-    pub fn build(self) -> Majic {
-        Majic::with_options(self.opts.build())
     }
 }
 
@@ -715,7 +671,7 @@ impl EngineDispatcher<'_> {
 /// scoping the callee oracle to that session's namespaces.
 ///
 /// This is the single compile path shared by the foreground dispatcher
-/// (JIT-on-miss) and the background [`crate::SpecWorkerPool`] workers;
+/// (JIT-on-miss) and the background speculation/tier workers;
 /// it only *reads* the registry and repository (the caller publishes
 /// the returned version), which is what makes it safe to run
 /// concurrently.
@@ -851,5 +807,35 @@ impl Dispatcher for EngineDispatcher<'_> {
             });
         }
         Ok(outs)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The `MAJIC_TIER` parse matrix. Pure parser tests — no environment
+    /// mutation, so they are safe under the parallel test runner.
+    #[test]
+    fn tier_env_parse_matrix() {
+        let base = TierOptions::default();
+        assert_eq!(base.with_env(None), base);
+        assert_eq!(base.with_env(Some("")), base);
+        assert_eq!(base.with_env(Some("  ")), base);
+        assert!(!base.with_env(Some("off")).enabled);
+        assert!(!base.with_env(Some("0")).enabled);
+        assert!(!base.with_env(Some("FALSE")).enabled);
+        let off = TierOptions {
+            enabled: false,
+            ..base
+        };
+        assert!(off.with_env(Some("on")).enabled);
+        let tuned = base.with_env(Some("500"));
+        assert!(tuned.enabled);
+        assert_eq!(tuned.threshold, 500);
+        assert_eq!(tuned.workers, base.workers);
+        // Misconfiguration must never break a session.
+        assert_eq!(base.with_env(Some("garbage")), base);
+        assert_eq!(base.with_env(Some("-3")), base);
     }
 }

@@ -61,26 +61,26 @@
 //!
 //! Attach a persistent cache ([`Session::attach_cache`]) and the service
 //! reloads previously compiled versions from disk, so the first call of
-//! a warm session skips JIT latency entirely; [`Session::save_cache`] (or
-//! service drop) flushes new versions back. Stale or damaged caches
+//! a warm session skips JIT latency entirely;
+//! [`CompilerService::save_cache`] (or service drop) flushes new
+//! versions back. Stale or damaged caches
 //! degrade to a cold start — see `docs/CACHE_FORMAT.md` for the
 //! integrity gates.
 
 pub mod diff;
 mod engine;
-pub mod env;
 mod service;
 mod spec;
 
 pub use diff::{DiffCase, DiffReport, Divergence, DivergenceKind, ModeOutcome};
 pub use engine::{
-    CacheReport, EngineOptions, EngineOptionsBuilder, ExecMode, Explanation, Majic, MajicBuilder,
-    PhaseTimes, Platform, TierOptions,
+    CacheReport, EngineOptions, EngineOptionsBuilder, ExecMode, Explanation, Majic, PhaseTimes,
+    Platform, TierOptions,
 };
 pub use majic_repo::cache::{LoadReport, RepoCache};
 pub use majic_repo::{RepoStats, Tier};
 pub use service::{Background, BackgroundStats, CompilerService, Session};
-pub use spec::{SpecConfig, SpecRecord, SpecStats, SpecWorkerPool, DEFAULT_RECORD_CAPACITY};
+pub use spec::{SpecConfig, SpecRecord, SpecStats};
 
 pub use majic_infer::InferOptions;
 pub use majic_runtime::{Matrix, RuntimeError, RuntimeResult, Value};

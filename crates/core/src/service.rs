@@ -49,7 +49,7 @@
 
 use crate::engine::{
     collect_callees, has_global_or_clear, quality_name, signature_of, CacheReport,
-    EngineDispatcher, EngineOptions, ExecMode, Explanation, PhaseTimes, Pipeline,
+    EngineDispatcher, EngineOptions, ExecMode, Explanation, PhaseTimes, Pipeline, TierOptions,
 };
 use crate::spec::{JobSpec, SpecConfig, SpecStats, SpecWorkerPool};
 use majic_ast::{parse_source, parse_statements, ExprKind, Function, LValue, Stmt, StmtKind};
@@ -129,7 +129,7 @@ struct CacheState {
     /// they install into the repository only when a session registers
     /// the matching function with a matching closure hash.
     pending: HashMap<String, Vec<CacheEntry>>,
-    /// Running warm-start accounting ([`Session::cache_report`]).
+    /// Running warm-start accounting ([`CompilerService::cache_report`]).
     report: CacheReport,
 }
 
@@ -146,12 +146,10 @@ impl CompilerService {
     /// process can disable or retune tier promotion without code
     /// changes.
     pub fn new() -> CompilerService {
-        let mut options = EngineOptions::default();
-        options.tier = crate::env::tier_options_from_env(
-            std::env::var("MAJIC_TIER").ok().as_deref(),
-            options.tier,
-        );
-        CompilerService::with_options(options)
+        CompilerService::with_options(EngineOptions {
+            tier: TierOptions::from_env(),
+            ..EngineOptions::default()
+        })
     }
 
     /// A fresh service whose sessions start from `options` exactly as
@@ -365,13 +363,17 @@ impl ServiceState {
                 });
             }
         }
-        let mut carried: Vec<&String> = cs.pending.keys().collect();
-        carried.sort();
-        let carried: Vec<CacheEntry> = carried
-            .into_iter()
-            .flat_map(|n| cs.pending[n].iter().cloned())
-            .collect();
-        entries.extend(carried);
+        entries.extend(cs.pending.values().flatten().cloned());
+        // One canonical order over live and carried-over entries, so a
+        // service that changed nothing rewrites its cache byte for byte.
+        entries.sort_by_cached_key(|e| {
+            (
+                e.name.clone(),
+                e.source_hash,
+                e.version.tier,
+                e.version.signature.to_string(),
+            )
+        });
         cache.save(&entries)?;
         Ok(entries.len())
     }
@@ -414,7 +416,7 @@ pub struct BackgroundStats {
 
 /// One handle over a service's background compilation — speculation and
 /// tier promotion together. Obtained from
-/// [`CompilerService::background`] or [`Session::background`].
+/// [`CompilerService::background`].
 #[derive(Debug)]
 pub struct Background<'a> {
     state: &'a ServiceState,
@@ -809,12 +811,6 @@ impl Session {
         }
     }
 
-    /// Handle over the service's background pools; see
-    /// [`CompilerService::background`].
-    pub fn background(&self) -> Background<'_> {
-        self.service.state_background()
-    }
-
     /// Speculatively compile every registered function ahead of time
     /// (paper §2.5), filling the repository with optimized versions for
     /// the guessed signatures. Returns the hidden (ahead-of-time)
@@ -916,70 +912,6 @@ impl Session {
         *self.service.state.spec.lock().expect("spec slot poisoned") = Some(pool);
     }
 
-    /// Block until the background speculation pool (if any) has drained
-    /// its queue.
-    #[deprecated(note = "use `background().wait()`, which also covers the tier pool")]
-    pub fn spec_wait(&self) {
-        if let Some(pool) = self.service.state.spec_pool() {
-            pool.wait_idle();
-        }
-    }
-
-    /// Statistics of the background speculation pool, when one is
-    /// running.
-    #[deprecated(note = "use `background().stats().spec`")]
-    pub fn spec_stats(&self) -> Option<SpecStats> {
-        self.service.state.spec_pool().map(|p| p.stats())
-    }
-
-    /// Shut the background speculation pool down (drain, join) and
-    /// return its final statistics. No-op returning `None` when no pool
-    /// is running.
-    #[deprecated(note = "use `background().finish()`, which also covers the tier pool")]
-    pub fn finish_speculation(&mut self) -> Option<SpecStats> {
-        let pool = self
-            .service
-            .state
-            .spec
-            .lock()
-            .expect("spec slot poisoned")
-            .take()?;
-        pool.shutdown();
-        Some(pool.stats())
-    }
-
-    /// Block until the tier-1 recompilation pool (if any) has drained
-    /// its queue.
-    #[deprecated(note = "use `background().wait()`, which also covers the speculation pool")]
-    pub fn tier_wait(&self) {
-        if let Some(pool) = self.service.state.tier_pool() {
-            pool.wait_idle();
-        }
-    }
-
-    /// Statistics of the tier-1 recompilation pool, when promotion has
-    /// started one.
-    #[deprecated(note = "use `background().stats().tier`")]
-    pub fn tier_stats(&self) -> Option<SpecStats> {
-        self.service.state.tier_pool().map(|p| p.stats())
-    }
-
-    /// Shut the tier-1 recompilation pool down (drain, join) and return
-    /// its final statistics. No-op returning `None` when no promotion
-    /// ever happened.
-    #[deprecated(note = "use `background().finish()`, which also covers the speculation pool")]
-    pub fn finish_tiering(&mut self) -> Option<SpecStats> {
-        let pool = self
-            .service
-            .state
-            .tier
-            .lock()
-            .expect("tier slot poisoned")
-            .take()?;
-        pool.shutdown();
-        Some(pool.stats())
-    }
-
     /// Attach a persistent repository cache at `path` and load whatever
     /// it holds (see `docs/CACHE_FORMAT.md`).
     ///
@@ -993,7 +925,7 @@ impl Session {
     /// checked immediately).
     ///
     /// The cache belongs to the *service*: every session shares it, and
-    /// it is flushed by [`Session::save_cache`] and, best-effort, when
+    /// it is flushed by [`CompilerService::save_cache`] and, best-effort, when
     /// the service drops.
     ///
     /// ```
@@ -1006,7 +938,7 @@ impl Session {
     /// assert_eq!(report.loaded, 0); // nothing cached yet: a cold start
     /// session.load_source("function y = sq(x)\ny = x * x;\n").unwrap();
     /// session.call("sq", &[3.0f64.into()], 1).unwrap();
-    /// assert!(session.save_cache().unwrap() > 0);
+    /// assert!(session.service().save_cache().unwrap() > 0);
     /// # drop(session);
     /// # std::fs::remove_dir_all(&dir).ok();
     /// ```
@@ -1029,21 +961,6 @@ impl Session {
         for name in names {
             self.install_cached(&name);
         }
-        self.service.state.cache_report()
-    }
-
-    /// Flush the repository to the attached cache; see
-    /// [`CompilerService::save_cache`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors from the atomic save.
-    pub fn save_cache(&mut self) -> std::io::Result<usize> {
-        self.service.state.save_cache()
-    }
-
-    /// This service's warm-start accounting so far.
-    pub fn cache_report(&self) -> CacheReport {
         self.service.state.cache_report()
     }
 
@@ -1163,18 +1080,6 @@ impl Session {
         std::mem::take(&mut self.interp.ctx.printed)
     }
 
-    /// The code repository (inspection). Shared with every other
-    /// session of the same service.
-    pub fn repository(&self) -> &Repository {
-        &self.service.state.repo
-    }
-
-    /// A shareable handle to the repository (e.g. for external monitors
-    /// or tests observing background publishes).
-    pub fn repository_handle(&self) -> Arc<Repository> {
-        Arc::clone(&self.service.state.repo)
-    }
-
     /// Zero the cumulative phase timers.
     pub fn reset_times(&mut self) {
         self.times = PhaseTimes::default();
@@ -1199,18 +1104,6 @@ impl Session {
         majic_trace::export::write_chrome_trace(path.as_ref())
     }
 
-    /// Turn the compilation audit log on or off for this session's
-    /// service. Convenience for
-    /// [`CompilerService::set_audit`]`(on)`.
-    pub fn set_audit_enabled(&self, on: bool) {
-        self.service.set_audit(on);
-    }
-
-    /// Whether this session's service requested audit recording.
-    pub fn audit_enabled(&self) -> bool {
-        self.service.audit_enabled()
-    }
-
     /// Why does `name` run the way it does? Returns every retained
     /// compilation record and session event for the function, plus a
     /// rendered report ([`Explanation::report`]) answering: what
@@ -1218,7 +1111,7 @@ impl Session {
     /// why, what the inliner did at each call site, how the generated
     /// code is shaped, and how the persistent cache treated it.
     ///
-    /// Requires auditing to be on ([`Session::set_audit_enabled`] or
+    /// Requires auditing to be on ([`CompilerService::set_audit`] or
     /// `MAJIC_EXPLAIN`) *before* the compilations of interest run;
     /// otherwise the explanation is empty.
     ///
@@ -1226,7 +1119,7 @@ impl Session {
     /// use majic::Majic;
     ///
     /// let mut session = Majic::new();
-    /// session.set_audit_enabled(true);
+    /// session.service().set_audit(true);
     /// session.load_source("function y = cube(x)\ny = x * x * x;\n").unwrap();
     /// session.call("cube", &[2.0f64.into()], 1).unwrap();
     /// let why = session.explain("cube");
@@ -1250,12 +1143,6 @@ impl Session {
     /// the bounded rings overflowed.
     pub fn explain_stats(&self) -> String {
         majic_trace::audit::render_report(&majic_trace::audit::snapshot())
-    }
-}
-
-impl CompilerService {
-    fn state_background(&self) -> Background<'_> {
-        Background { state: &self.state }
     }
 }
 

@@ -5,7 +5,7 @@
 //! seed implementation ran that speculation synchronously
 //! ([`crate::Session::speculate_all`]), blocking the session exactly
 //! the way the paper says it must not. This module provides the
-//! genuinely concurrent version: a [`SpecWorkerPool`] of OS threads
+//! genuinely concurrent version: a `SpecWorkerPool` of OS threads
 //! runs the speculative inference + optimizing backend off the critical
 //! path and publishes [`CompiledVersion`](majic_repo::CompiledVersion)s
 //! into the shared [`majic_repo::Repository`] as they finish. The
@@ -32,7 +32,7 @@
 //!
 //! # Shutdown semantics
 //!
-//! [`SpecWorkerPool::shutdown`] closes the queue (pending jobs are
+//! `SpecWorkerPool::shutdown` closes the queue (pending jobs are
 //! still drained), then joins every worker. It takes `&self`, so a pool
 //! shared behind an `Arc` can be shut down by whichever owner finishes
 //! last. Dropping the pool does the same — join-on-drop, so a session
@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 
 /// Default bound on the number of per-job [`SpecRecord`]s retained
 /// (aggregate counters stay exact regardless).
-pub const DEFAULT_RECORD_CAPACITY: usize = 1024;
+pub(crate) const DEFAULT_RECORD_CAPACITY: usize = 1024;
 
 /// Worker-pool configuration.
 #[derive(Clone, Copy, Debug)]
@@ -278,20 +278,23 @@ struct PoolShared {
 
 /// A pool of background speculative-compilation workers.
 #[derive(Debug)]
-pub struct SpecWorkerPool {
+pub(crate) struct SpecWorkerPool {
     shared: Arc<PoolShared>,
     /// Joined by [`SpecWorkerPool::shutdown`]; behind a `Mutex` so a
     /// pool shared through `Arc` can still be shut down via `&self`.
     handles: Mutex<Vec<JoinHandle<()>>>,
-    worker_count: usize,
 }
 
 impl SpecWorkerPool {
     /// Start `cfg.workers` threads publishing into `repo`. Each job
-    /// carries the engine options in effect when it was submitted.
-    pub fn start(cfg: SpecConfig, repo: Arc<Repository>) -> SpecWorkerPool {
+    /// carries the engine options in effect when it was submitted. A
+    /// pool with no workers starts closed, so it rejects every job.
+    pub(crate) fn start(cfg: SpecConfig, repo: Arc<Repository>) -> SpecWorkerPool {
         let shared = Arc::new(PoolShared {
-            queue: Mutex::new(Queue::default()),
+            queue: Mutex::new(Queue {
+                closed: cfg.workers == 0,
+                ..Queue::default()
+            }),
             job_ready: Condvar::new(),
             idle: Condvar::new(),
             capacity: cfg.queue_capacity.max(1),
@@ -314,68 +317,14 @@ impl SpecWorkerPool {
         SpecWorkerPool {
             shared,
             handles: Mutex::new(handles),
-            worker_count: cfg.workers,
         }
     }
 
-    /// Number of worker threads the pool was started with.
-    pub fn workers(&self) -> usize {
-        self.worker_count
-    }
-
-    /// Queue `name` for speculative compilation against the given
-    /// registry snapshot, outside any session (results land in the
-    /// default namespace). Returns `false` (and records a rejection)
-    /// when the pool has no workers, the queue is full, or the pool is
-    /// shut down — speculation is best-effort and never blocks the
-    /// caller.
-    pub fn enqueue(
-        &self,
-        name: &str,
-        options: EngineOptions,
-        registry: Arc<HashMap<String, Function>>,
-        known: Arc<HashSet<String>>,
-    ) -> bool {
-        self.submit(JobSpec {
-            name: name.to_owned(),
-            sig: None,
-            ns: majic_repo::DEFAULT_NS,
-            session: NO_SESSION,
-            registry,
-            known,
-            hashes: Arc::new(HashMap::new()),
-            options,
-            audit: majic_trace::audit::process_enabled(),
-        })
-    }
-
-    /// Queue a hot-promotion (tier-1) recompile of `name` for the
-    /// observed signature, outside any session. Same best-effort
-    /// semantics as [`SpecWorkerPool::enqueue`].
-    pub fn enqueue_hot(
-        &self,
-        name: &str,
-        sig: Signature,
-        options: EngineOptions,
-        registry: Arc<HashMap<String, Function>>,
-        known: Arc<HashSet<String>>,
-    ) -> bool {
-        self.submit(JobSpec {
-            name: name.to_owned(),
-            sig: Some(sig),
-            ns: majic_repo::DEFAULT_NS,
-            session: NO_SESSION,
-            registry,
-            known,
-            hashes: Arc::new(HashMap::new()),
-            options,
-            audit: majic_trace::audit::process_enabled(),
-        })
-    }
-
-    /// Queue a fully-specified job. This is the session path: the
-    /// [`JobSpec`] carries the namespace, session id, and hash table of
-    /// the submitting session. Best-effort like [`SpecWorkerPool::enqueue`].
+    /// Queue a job. The [`JobSpec`] carries the namespace, session id,
+    /// and hash table of the submitting session. Returns `false` (and
+    /// records a rejection) when the pool has no workers, the queue is
+    /// full, or the pool is shut down — speculation is best-effort and
+    /// never blocks the caller.
     pub(crate) fn submit(&self, spec: JobSpec) -> bool {
         // Captured before the job is queued: the caller's registry
         // snapshot is current *now*, so a later invalidation (source
@@ -384,7 +333,7 @@ impl SpecWorkerPool {
         let generation = self.shared.repo.generation_ns(&spec.name, spec.ns);
         let accepted = {
             let mut q = self.shared.queue.lock().expect("spec queue poisoned");
-            if q.closed || self.worker_count == 0 || q.jobs.len() >= self.shared.capacity {
+            if q.closed || q.jobs.len() >= self.shared.capacity {
                 false
             } else {
                 q.jobs.push_back(Job {
@@ -409,7 +358,7 @@ impl SpecWorkerPool {
     /// Block until every accepted job has been compiled and published
     /// (or failed). Used by tests and the deterministic arms of the
     /// responsiveness experiment; interactive sessions never call this.
-    pub fn wait_idle(&self) {
+    pub(crate) fn wait_idle(&self) {
         let mut q = self.shared.queue.lock().expect("spec queue poisoned");
         while !(q.jobs.is_empty() && q.in_flight == 0) {
             q = self.shared.idle.wait(q).expect("spec queue poisoned");
@@ -417,7 +366,7 @@ impl SpecWorkerPool {
     }
 
     /// Snapshot of the pool's statistics.
-    pub fn stats(&self) -> SpecStats {
+    pub(crate) fn stats(&self) -> SpecStats {
         self.shared
             .stats
             .lock()
@@ -429,7 +378,7 @@ impl SpecWorkerPool {
     /// first; new enqueues are rejected. Idempotent, and callable
     /// through a shared reference (the pool is a service-wide asset
     /// held behind an `Arc`).
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         {
             let mut q = self.shared.queue.lock().expect("spec queue poisoned");
             q.closed = true;

@@ -39,7 +39,7 @@ fn run_with_workers(workers: usize) -> Vec<u64> {
             m.speculate_background(workers);
             // Drain so every arm actually runs whatever the workers
             // published (the race itself is exercised elsewhere).
-            m.background().wait();
+            m.service().background().wait();
         }
         let argv: Vec<Value> = args.iter().map(|&a| Value::scalar(a)).collect();
         let out = m.call(entry, &argv, 1).unwrap();
@@ -69,25 +69,25 @@ fn published_versions_are_picked_up() {
     let mut m = Majic::with_mode(ExecMode::Spec);
     m.load_source(src).unwrap();
     m.speculate_background(2);
-    m.background().wait();
+    m.service().background().wait();
 
-    let stats = m.background().stats().spec.expect("pool running");
+    let stats = m.service().background().stats().spec.expect("pool running");
     assert_eq!(stats.enqueued, 1);
     assert_eq!(stats.published, 1);
     assert_eq!(stats.failed, 0);
-    assert_eq!(m.repository().version_count(entry), 1);
+    assert_eq!(m.service().repository().version_count(entry), 1);
 
     let argv: Vec<Value> = args.iter().map(|&a| Value::scalar(a)).collect();
-    let before = m.repository().stats();
+    let before = m.service().repository().stats();
     m.call(entry, &argv, 1).unwrap();
-    let after = m.repository().stats();
+    let after = m.service().repository().stats();
     // The call hit the speculative version: one more hit, no new miss.
     assert_eq!(after.hits, before.hits + 1);
     assert_eq!(after.misses, before.misses);
 
     // And the hit really is the optimized background version.
     let sig: Signature = argv.iter().map(Value::type_of).collect();
-    let hit = m.repository().lookup(entry, &sig).unwrap();
+    let hit = m.service().repository().lookup(entry, &sig).unwrap();
     assert_eq!(hit.quality, CodeQuality::Optimized);
 }
 
@@ -99,10 +99,10 @@ fn late_loaded_functions_are_speculated() {
     m.speculate_background(2);
     m.load_source("function y = late(x)\ny = x * 2 + 1;\n")
         .unwrap();
-    m.background().wait();
-    let stats = m.background().stats().spec.expect("pool running");
+    m.service().background().wait();
+    let stats = m.service().background().stats().spec.expect("pool running");
     assert_eq!(stats.published, 1);
-    assert_eq!(m.repository().version_count("late"), 1);
+    assert_eq!(m.service().repository().version_count("late"), 1);
 }
 
 /// Shutdown drains pending jobs, returns final statistics, and joins
@@ -116,12 +116,17 @@ fn shutdown_drains_and_reports() {
             .unwrap();
     }
     m.speculate_background(4);
-    let stats = m.background().finish().spec.expect("pool was running");
+    let stats = m
+        .service()
+        .background()
+        .finish()
+        .spec
+        .expect("pool was running");
     assert_eq!(stats.enqueued, 12);
     assert_eq!(stats.published + stats.failed, 12);
     assert_eq!(stats.records.len(), 12);
     assert!(
-        m.background().stats().spec.is_none(),
+        m.service().background().stats().spec.is_none(),
         "pool gone after finish"
     );
     // Every published record carries observability timestamps.
@@ -141,8 +146,8 @@ fn zero_worker_pool_rejects_and_session_survives() {
         queue_capacity: 8,
         ..SpecConfig::default()
     });
-    m.background().wait(); // must not hang
-    let stats = m.background().stats().spec.unwrap();
+    m.service().background().wait(); // must not hang
+    let stats = m.service().background().stats().spec.unwrap();
     assert_eq!(stats.enqueued, 0);
     assert_eq!(stats.rejected, 1);
     let out = m.call("g", &[Value::scalar(5.0)], 1).unwrap();
@@ -166,7 +171,7 @@ fn racing_foreground_calls_agree_with_interpreter() {
         let mut m = Majic::with_mode(ExecMode::Spec);
         m.load_source(src).unwrap();
         m.speculate_background(1 + trial % 4);
-        // No spec_wait: the call races the background publish.
+        // No background().wait(): the call races the background publish.
         let out = m.call(entry, &argv, 1).unwrap();
         assert_eq!(out[0].to_scalar().unwrap(), expect, "trial {trial}");
     }

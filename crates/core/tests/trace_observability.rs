@@ -63,8 +63,8 @@ fn spec_workers_trace_on_their_own_threads() {
         workers: 4,
         ..SpecConfig::default()
     });
-    m.background().wait();
-    m.background().finish();
+    m.service().background().wait();
+    m.service().background().finish();
 
     majic_trace::set_enabled(false);
     let snap = majic_trace::snapshot();
@@ -106,8 +106,8 @@ fn spec_records_are_ring_bounded() {
         record_capacity: 4,
         ..SpecConfig::default()
     });
-    m.background().wait();
-    let stats = m.background().finish().spec.unwrap();
+    m.service().background().wait();
+    let stats = m.service().background().finish().spec.unwrap();
 
     assert_eq!(stats.enqueued, 10);
     assert_eq!(stats.completed(), 10);

@@ -491,6 +491,7 @@ mod tests {
         assert_eq!(parse_threads(" 16 "), Some(16));
         assert_eq!(parse_threads(&MAX_THREADS.to_string()), Some(MAX_THREADS));
         assert_eq!(parse_threads("257"), None, "beyond MAX_THREADS");
+        assert_eq!(parse_threads("999999"), None, "beyond MAX_THREADS");
         assert_eq!(parse_threads("-1"), None);
         assert_eq!(parse_threads("2e9"), None);
         assert_eq!(parse_threads("abc"), None);

@@ -20,7 +20,7 @@ fn main() {
     // interactive consumer `\explain` and `\stats` read from, and the
     // flight recorder is bounded + cheap enough to leave recording.
     let mut session = Majic::with_mode(ExecMode::Jit);
-    session.set_audit_enabled(true);
+    session.service().set_audit(true);
     let stdin = std::io::stdin();
     let mut out = std::io::stdout();
     println!("MaJIC interactive session — .help for commands");
@@ -43,14 +43,14 @@ fn main() {
             }
             "\\stats" => {
                 print!("{}", session.explain_stats());
-                let stats = session.repository().stats();
+                let stats = session.service().repository().stats();
                 println!(
                     "tiers: {} tier-0 versions ({} hits), {} tier-1 versions ({} hits)",
                     stats.tier0_versions, stats.tier0_hits, stats.tier1_versions, stats.tier1_hits
                 );
             }
             ".repo" => {
-                let stats = session.repository().stats();
+                let stats = session.service().repository().stats();
                 println!(
                     "function locator: {} hits, {} misses ({:.0}% hit rate), {} inserts, {} invalidations",
                     stats.hits,

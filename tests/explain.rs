@@ -43,7 +43,7 @@ impl Drop for TempDir {
 
 fn jit() -> Majic {
     let m = Majic::with_mode(ExecMode::Jit);
-    m.set_audit_enabled(true);
+    m.service().set_audit(true);
     m
 }
 
@@ -225,7 +225,7 @@ fn explain_reports_warm_cache_interactions() {
         m.load_source("function y = exwarm(x)\ny = x - 1;\n")
             .unwrap();
         assert_eq!(call1(&mut m, "exwarm", 3.0), 2.0);
-        assert!(m.save_cache().unwrap() > 0);
+        assert!(m.service().save_cache().unwrap() > 0);
     }
 
     // Warm session: the cached version installs without compiling.
@@ -283,7 +283,7 @@ fn explain_reports_speculative_triggers() {
     m.load_source("function y = exspecbg(x)\ny = x * x;\n")
         .unwrap();
     m.speculate_background(1);
-    m.background().wait();
+    m.service().background().wait();
     let ex = m.explain("exspecbg");
     let rec = ex
         .records

@@ -36,7 +36,7 @@ fn every_corpus_case_agrees_across_all_modes() {
     paths.sort();
     let mut bad = Vec::new();
     for p in &paths {
-        match majic_fuzz::replay_file(p) {
+        match majic_bench::fuzz::replay_file(p) {
             Ok(report) if report.is_clean() => {}
             Ok(report) => {
                 let divs: Vec<String> =

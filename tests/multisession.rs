@@ -1,8 +1,8 @@
 //! Concurrent-session semantics of the shared [`CompilerService`]:
 //! cross-session code sharing, session-local redefinition, bitwise
 //! parity with solo sessions under interleaved call/redefine stress,
-//! the deprecated single-pool helpers' parity with the [`Background`]
-//! handle, and per-service audit enablement.
+//! the [`majic::Background`] handle over both pools, and per-service audit
+//! enablement.
 
 use majic::{CompilerService, Majic, Value};
 use std::collections::HashMap;
@@ -152,39 +152,33 @@ fn redefinition_and_reuse_across_session_lifetimes() {
     );
 }
 
-/// The deprecated per-pool helpers must agree with the [`Background`]
-/// handle that replaces them — same pools, same numbers.
+/// The one [`majic::Background`] handle covers both pools: `wait` drains the
+/// queue, `stats` reports the pools that exist, and `finish` tears them
+/// down and returns their final numbers.
 #[test]
-#[allow(deprecated)]
-fn deprecated_helpers_match_background_handle() {
+fn background_handle_waits_reports_and_finishes() {
     let mut m = Majic::new();
     m.load_source("function y = mspar_a(x)\ny = x * 3;\n")
         .unwrap();
     m.load_source("function y = mspar_b(x)\ny = x + 4;\n")
         .unwrap();
     m.speculate_background(1);
-    m.spec_wait(); // old wait…
-    m.background().wait(); // …and new wait; both must return with the queue drained
+    let bg = m.service().background();
+    bg.wait();
 
-    let old = m.spec_stats().expect("speculation pool is running");
-    let new = m.background().stats().spec.expect("same pool, new API");
-    assert_eq!(old.enqueued, new.enqueued);
-    assert_eq!(old.published, new.published);
-    assert_eq!(old.failed, new.failed);
-    assert_eq!(old.stale, new.stale);
-    assert_eq!(old.enqueued, 2, "both functions queued");
+    let stats = bg.stats().spec.expect("speculation pool is running");
+    assert_eq!(stats.enqueued, 2, "both functions queued");
+    assert_eq!(stats.completed(), stats.enqueued, "wait drained the queue");
+    assert!(bg.stats().tier.is_none(), "no promotion happened");
 
-    assert!(m.tier_stats().is_none(), "no promotion happened");
-    assert!(m.background().stats().tier.is_none());
-    assert!(m.finish_tiering().is_none());
-
-    let finished = m.finish_speculation().expect("pool was running");
-    assert_eq!(finished.enqueued, old.enqueued);
+    let finished = bg.finish();
+    let spec = finished.spec.expect("pool was running");
+    assert_eq!(spec.enqueued, stats.enqueued);
+    assert!(finished.tier.is_none());
     assert!(
-        m.background().stats().spec.is_none(),
-        "finish_speculation must tear down the same pool background().finish() would"
+        bg.stats().spec.is_none(),
+        "finish must tear the speculation pool down"
     );
-    assert!(m.spec_stats().is_none());
 }
 
 /// Audit enablement is per service: compilations of a service with

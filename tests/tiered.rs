@@ -24,24 +24,25 @@ fn scalar(out: &[Value]) -> f64 {
 #[test]
 fn promotion_fires_at_threshold() {
     let mut m = Majic::with_mode(ExecMode::Jit);
-    m.set_audit_enabled(true);
+    m.service().set_audit(true);
     m.options.tier.threshold = 1;
     m.load_source(&loop_source("tier_hot")).unwrap();
 
     let first = scalar(&m.call("tier_hot", &[200.0f64.into()], 1).unwrap());
-    m.background().wait();
+    m.service().background().wait();
     let stats = m
+        .service()
         .background()
         .stats()
         .tier
         .expect("promotion started the tier pool");
     assert_eq!(stats.published, 1, "one hot version, one tier-1 publish");
-    assert_eq!(m.repository().tier_versions(), [1, 1]);
+    assert_eq!(m.service().repository().tier_versions(), [1, 1]);
 
     // The next call dispatches the tier-1 version — bitwise the same.
     let again = scalar(&m.call("tier_hot", &[200.0f64.into()], 1).unwrap());
     assert_eq!(first.to_bits(), again.to_bits());
-    let repo_stats = m.repository().stats();
+    let repo_stats = m.service().repository().stats();
     assert!(repo_stats.tier1_hits >= 1, "tier-1 never dispatched");
 
     // The audit log attributes the background compile to hot promotion.
@@ -66,12 +67,12 @@ fn no_promotion_below_threshold() {
     // One call of hot(50) scores ~16 + 50 ≪ the default 10_000.
     m.load_source(&loop_source("tier_cold")).unwrap();
     m.call("tier_cold", &[50.0f64.into()], 1).unwrap();
-    m.background().wait();
+    m.service().background().wait();
     assert!(
-        m.background().stats().tier.is_none(),
+        m.service().background().stats().tier.is_none(),
         "tier pool started while cold"
     );
-    assert_eq!(m.repository().tier_versions(), [1, 0]);
+    assert_eq!(m.service().repository().tier_versions(), [1, 0]);
 }
 
 #[test]
@@ -81,9 +82,9 @@ fn promotion_disabled_by_options() {
     m.options.tier.threshold = 1;
     m.load_source(&loop_source("tier_off")).unwrap();
     m.call("tier_off", &[200.0f64.into()], 1).unwrap();
-    m.background().wait();
-    assert!(m.background().stats().tier.is_none());
-    assert_eq!(m.repository().tier_versions(), [1, 0]);
+    m.service().background().wait();
+    assert!(m.service().background().stats().tier.is_none());
+    assert_eq!(m.service().repository().tier_versions(), [1, 0]);
 }
 
 #[test]
@@ -100,8 +101,8 @@ fn tier1_survives_cache_round_trip() {
         m.attach_cache(&path);
         m.load_source(&src).unwrap();
         let out = scalar(&m.call("tier_warm", &[150.0f64.into()], 1).unwrap());
-        m.background().wait();
-        assert_eq!(m.repository().tier_versions(), [1, 1]);
+        m.service().background().wait();
+        assert_eq!(m.service().repository().tier_versions(), [1, 1]);
         out
     }; // drop saves the cache
 
@@ -112,15 +113,15 @@ fn tier1_survives_cache_round_trip() {
     assert_eq!(report.loaded, 2, "both tiers were persisted");
     m.load_source(&src).unwrap();
     assert_eq!(
-        m.repository().tier_versions(),
+        m.service().repository().tier_versions(),
         [1, 1],
         "tier metadata lost across the cache round trip"
     );
     let warm = scalar(&m.call("tier_warm", &[150.0f64.into()], 1).unwrap());
     assert_eq!(first.to_bits(), warm.to_bits());
-    assert!(m.repository().stats().tier1_hits >= 1);
+    assert!(m.service().repository().stats().tier1_hits >= 1);
     assert!(
-        m.background().stats().tier.is_none(),
+        m.service().background().stats().tier.is_none(),
         "warm tier-1 re-promoted"
     );
 
@@ -162,11 +163,16 @@ fn redefinition_during_promotion_never_publishes_stale() {
             "round {round}: stale tier-1 dispatched"
         );
     }
-    m.background().wait();
+    m.service().background().wait();
     // Every drained job either published current-source code, was
     // dropped as stale, or failed — and dispatch still answers from the
     // last definition.
-    let stats = m.background().stats().tier.expect("promotions ran");
+    let stats = m
+        .service()
+        .background()
+        .stats()
+        .tier
+        .expect("promotions ran");
     assert_eq!(stats.completed(), stats.enqueued);
     let last = scalar(&m.call("tier_race", &[100.0f64.into()], 1).unwrap());
     assert_eq!(last, expected(19 % 3 + 1));
@@ -180,8 +186,8 @@ fn unseen_signature_falls_back_to_tier0() {
     // would be visible in the output.
     m.load_source(&loop_source("tier_fallback")).unwrap();
     m.call("tier_fallback", &[300.0f64.into()], 1).unwrap();
-    m.background().wait();
-    assert_eq!(m.repository().tier_versions(), [1, 1]);
+    m.service().background().wait();
+    assert_eq!(m.service().repository().tier_versions(), [1, 1]);
 
     // Both existing versions were compiled for the constant signature
     // of 300.0; an argument outside that range is not admitted by the
@@ -192,6 +198,6 @@ fn unseen_signature_falls_back_to_tier0() {
     interp.load_source(&loop_source("tier_fallback")).unwrap();
     let reference = scalar(&interp.call("tier_fallback", &[77.0f64.into()], 1).unwrap());
     assert_eq!(compiled.to_bits(), reference.to_bits());
-    let [t0, _t1] = m.repository().tier_versions();
+    let [t0, _t1] = m.service().repository().tier_versions();
     assert!(t0 >= 2, "no tier-0 fallback version was compiled");
 }

@@ -52,7 +52,7 @@ fn populate(path: &std::path::Path, src: &str, f: &str, x: f64) -> f64 {
     m.attach_cache(path);
     m.load_source(src).unwrap();
     let r = call1(&mut m, f, x);
-    let written = m.save_cache().unwrap();
+    let written = m.service().save_cache().unwrap();
     assert!(written > 0, "populate session wrote nothing");
     r
 }
@@ -66,7 +66,7 @@ fn warm_session_skips_compilation_and_matches_cold() {
     let report = m.attach_cache(&t.path);
     assert!(report.loaded >= 1, "{report:?}");
     m.load_source(POLY).unwrap();
-    let report = m.cache_report();
+    let report = m.service().cache_report();
     assert!(report.installed >= 1, "{report:?}");
     assert_eq!(report.rejected_source_hash, 0, "{report:?}");
 
@@ -92,7 +92,7 @@ fn changed_source_is_rejected_and_recompiled() {
     let mut m = jit();
     m.attach_cache(&t.path);
     m.load_source(POLY_V2).unwrap();
-    let report = m.cache_report();
+    let report = m.service().cache_report();
     assert_eq!(report.installed, 0, "{report:?}");
     assert!(report.rejected_source_hash >= 1, "{report:?}");
     assert_eq!(call1(&mut m, "poly", 3.0), 259.0); // v2: +7, not +2
@@ -180,7 +180,7 @@ fn stale_temp_file_from_a_killed_writer_is_harmless() {
     assert_eq!(report, Default::default(), "tmp file leaked into load");
     m.load_source(POLY).unwrap();
     assert_eq!(call1(&mut m, "poly", 3.0), 254.0);
-    m.save_cache().unwrap();
+    m.service().save_cache().unwrap();
     assert!(!tmp.exists(), "save left the stale temp file behind");
 
     // And the save that replaced it produced a loadable cache.
@@ -204,7 +204,11 @@ fn drop_flushes_the_cache() {
     let mut m = jit();
     m.attach_cache(&t.path);
     m.load_source(POLY).unwrap();
-    assert!(m.cache_report().installed >= 1, "{:?}", m.cache_report());
+    assert!(
+        m.service().cache_report().installed >= 1,
+        "{:?}",
+        m.service().cache_report()
+    );
     assert_eq!(call1(&mut m, "poly", 3.0), 254.0);
 }
 
@@ -221,16 +225,53 @@ fn unloaded_functions_survive_a_save() {
         m.load_source("function y = other(x)\ny = x + 1;\n")
             .unwrap();
         assert_eq!(call1(&mut m, "other", 1.0), 2.0);
-        m.save_cache().unwrap();
+        m.service().save_cache().unwrap();
     }
 
     let mut m = jit();
     m.attach_cache(&t.path);
     m.load_source(POLY).unwrap();
     assert!(
-        m.cache_report().installed >= 1,
+        m.service().cache_report().installed >= 1,
         "carried-over entry was lost: {:?}",
-        m.cache_report()
+        m.service().cache_report()
     );
     assert_eq!(call1(&mut m, "poly", 3.0), 254.0);
+}
+
+#[test]
+fn partial_warm_load_rewrites_the_cache_byte_for_byte() {
+    let t = TempFile::new();
+    let srcs = [
+        ("aa", "function y = aa(x)\ny = x + 1;\n"),
+        ("mm", "function y = mm(x)\ny = x * 2;\n"),
+        ("zz", "function y = zz(x)\ny = x - 3;\n"),
+    ];
+    {
+        let mut m = jit();
+        m.attach_cache(&t.path);
+        for (f, src) in srcs {
+            m.load_source(src).unwrap();
+            call1(&mut m, f, 1.0);
+        }
+        assert_eq!(m.service().save_cache().unwrap(), 3);
+    }
+    let before = std::fs::read(&t.path).unwrap();
+
+    // A warm service that loads only the middle function, calls
+    // nothing, and drops: its flush has nothing new to say, so the file
+    // must come back unchanged.
+    {
+        let mut m = jit();
+        m.attach_cache(&t.path);
+        m.load_source(srcs[1].1).unwrap();
+        assert_eq!(m.service().cache_report().installed, 1);
+    }
+    let after = std::fs::read(&t.path).unwrap();
+    assert!(
+        after == before,
+        "an unchanged cache was rewritten differently ({} bytes before, {} after)",
+        before.len(),
+        after.len()
+    );
 }
