@@ -1,8 +1,28 @@
 //! Symbol disambiguation by reaching-definitions dataflow (paper §2.1).
+//!
+//! The fact at a program point is two bits per variable: *maybe defined*
+//! (some path to the point defines it) and *definitely defined* (every
+//! path does). Both live in dense bit vectors indexed by [`VarId`].
+//!
+//! Loops are where a dataflow pass gets expensive, so they are solved in
+//! closed form. Per variable, the effect of any statement sequence on
+//! this lattice is a join of *define*, *clear* and *keep*; such a
+//! function `f` satisfies `f∘f = f`, so a loop head's fixpoint is
+//! `entry ⊔ f(entry)`. The analysis therefore walks the function twice,
+//! whatever its loop nesting depth:
+//!
+//! 1. **Summarize.** Each loop body is walked once from the identity
+//!    transfer, which records the body's effect `f` symbolically.
+//! 2. **Annotate.** One walk from the function entry applies each loop's
+//!    recorded `f` at its head, then records what every symbol means.
+//!
+//! Each walk applies every statement's transfer once, at a cost of a few
+//! machine words per statement, so the pass is linear in the function's
+//! size times its variable count over 64.
 
 use majic_ast::{Expr, ExprKind, Function, LValue, NodeId, Stmt, StmtKind};
 use majic_runtime::builtins::Builtin;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 /// Dense index of a variable in a function's static symbol table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -32,8 +52,8 @@ pub enum SymbolKind {
     Unknown,
 }
 
-/// Analysis results for one function (the paper's "static symbol table"
-/// plus U/D chains).
+/// Analysis results for one function (the paper's "static symbol
+/// table").
 #[derive(Clone, Debug, Default)]
 pub struct SymbolTable {
     /// Variable names, indexed by [`VarId`]. Parameters first, then
@@ -41,19 +61,14 @@ pub struct SymbolTable {
     pub vars: Vec<String>,
     /// Symbol meaning per AST node (`Ident` / `Apply` / lvalue ids).
     pub symbols: HashMap<NodeId, SymbolKind>,
-    /// Use-def chains: for each variable *use*, the assignment sites that
-    /// may reach it (lvalue node ids; parameter defs use the function's
-    /// header pseudo-ids).
-    pub ud_chains: HashMap<NodeId, Vec<NodeId>>,
+    /// `vars` inverted, built alongside it.
+    index: HashMap<String, VarId>,
 }
 
 impl SymbolTable {
     /// Id of a variable by name.
     pub fn var_id(&self, name: &str) -> Option<VarId> {
-        self.vars
-            .iter()
-            .position(|v| v == name)
-            .map(|i| VarId(i as u32))
+        self.index.get(name).copied()
     }
 
     /// Number of variables in the frame.
@@ -68,6 +83,16 @@ impl SymbolTable {
             .copied()
             .unwrap_or(SymbolKind::Unknown)
     }
+
+    fn intern(&mut self, name: &str) -> VarId {
+        if let Some(id) = self.var_id(name) {
+            return id;
+        }
+        let id = VarId(self.vars.len() as u32);
+        self.vars.push(name.to_owned());
+        self.index.insert(name.to_owned(), id);
+        id
+    }
 }
 
 /// A function together with its symbol table.
@@ -79,200 +104,266 @@ pub struct DisambiguatedFunction {
     pub table: SymbolTable,
 }
 
-/// Per-variable dataflow fact.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-struct VarFact {
-    /// Defined on all paths reaching this point?
-    definite: bool,
-    /// Assignment sites that may reach this point.
-    defs: BTreeSet<NodeId>,
-}
+/// Bit planes of a [`Flow`], each `words` long.
+const GEN: usize = 0;
+const PASS: usize = 1;
+const MUST: usize = 2;
+const KEEP: usize = 3;
 
-/// The dataflow state: facts per variable name.
-#[derive(Clone, Debug, Default, PartialEq)]
-struct State {
-    vars: HashMap<String, VarFact>,
-    /// Set when the current path has returned/broken (facts frozen).
+/// A transfer function on the two-bit lattice, or a state (a constant
+/// function). Per variable, four bits:
+///
+/// * `GEN`: some path defines the variable;
+/// * `PASS`: some path leaves it as it was;
+/// * `MUST`: every path defines it;
+/// * `KEEP`: no path leaves it cleared.
+///
+/// Applied to a state, it gives `maybe' = GEN | (PASS & maybe)` and
+/// `definite' = MUST | (KEEP & definite)`. `MUST ⊆ KEEP` always holds,
+/// which [`Flow::join`] relies on. In a state `PASS` is empty, so `GEN`
+/// reads as *maybe* and `MUST` as *definitely* defined.
+#[derive(Clone, Debug)]
+struct Flow {
+    /// The four planes back to back.
+    bits: Vec<u64>,
+    /// Cleared by `break` / `continue` / `return`. The planes then keep
+    /// the facts at the jump, which dead code after it is analyzed with.
     reachable: bool,
 }
 
-impl State {
-    fn entry() -> State {
-        State {
-            vars: HashMap::new(),
+impl Flow {
+    /// The state in which nothing is defined.
+    fn undefined(words: usize) -> Flow {
+        Flow {
+            bits: vec![0; 4 * words],
             reachable: true,
         }
     }
 
-    fn define(&mut self, name: &str, site: NodeId, definite: bool) {
-        let fact = self.vars.entry(name.to_owned()).or_default();
-        if definite {
-            fact.definite = true;
-            fact.defs = BTreeSet::from([site]);
+    /// The transfer that changes nothing, over `vars` variables.
+    fn identity(words: usize, vars: usize) -> Flow {
+        let mut f = Flow::undefined(words);
+        for v in 0..vars {
+            f.set(PASS, v, true);
+            f.set(KEEP, v, true);
+        }
+        f
+    }
+
+    fn words(&self) -> usize {
+        self.bits.len() / 4
+    }
+
+    fn get(&self, plane: usize, v: VarId) -> bool {
+        (self.bits[plane * self.words() + v.index() / 64] >> (v.index() % 64)) & 1 == 1
+    }
+
+    fn set(&mut self, plane: usize, v: usize, on: bool) {
+        let at = plane * self.words() + v / 64;
+        let word = &mut self.bits[at];
+        if on {
+            *word |= 1 << (v % 64);
         } else {
-            fact.defs.insert(site);
+            *word &= !(1 << (v % 64));
         }
     }
 
-    fn clear_var(&mut self, name: &str) {
-        self.vars.remove(name);
+    fn define(&mut self, v: VarId) {
+        let v = v.index();
+        self.set(GEN, v, true);
+        self.set(PASS, v, false);
+        self.set(MUST, v, true);
+        self.set(KEEP, v, true);
+    }
+
+    fn clear(&mut self, v: VarId) {
+        for plane in [GEN, PASS, MUST, KEEP] {
+            self.set(plane, v.index(), false);
+        }
     }
 
     fn clear_all(&mut self) {
-        self.vars.clear();
+        self.bits.fill(0);
     }
 
-    /// Join of two path states (at control-flow merges).
-    fn join(&self, other: &State) -> State {
+    /// Join `other` in (a control-flow merge). An unreachable side
+    /// contributes nothing; if both are unreachable, `other` wins.
+    fn join(&mut self, other: &Flow) {
         if !self.reachable {
-            return other.clone();
+            self.clone_from(other);
+        } else if other.reachable {
+            let (may, must) = self.bits.split_at_mut(2 * other.words());
+            let (other_may, other_must) = other.bits.split_at(2 * other.words());
+            may.iter_mut().zip(other_may).for_each(|(a, b)| *a |= b);
+            must.iter_mut().zip(other_must).for_each(|(a, b)| *a &= b);
         }
-        if !other.reachable {
-            return self.clone();
+    }
+
+    /// `self` followed by `next`.
+    fn then(&self, next: &Flow) -> Flow {
+        let w = self.words();
+        let (s, n) = (&self.bits, &next.bits);
+        let mut bits = vec![0; 4 * w];
+        for i in 0..w {
+            let (g, p, m, k) = (GEN * w + i, PASS * w + i, MUST * w + i, KEEP * w + i);
+            bits[g] = n[g] | (n[p] & s[g]);
+            bits[p] = n[p] & s[p];
+            bits[m] = n[m] | (n[k] & s[m]);
+            bits[k] = n[m] | (n[k] & s[k]);
         }
-        let mut vars: HashMap<String, VarFact> = HashMap::new();
-        for (name, a) in &self.vars {
-            let mut fact = a.clone();
-            match other.vars.get(name) {
-                Some(b) => {
-                    fact.definite = a.definite && b.definite;
-                    fact.defs.extend(b.defs.iter().copied());
-                }
-                None => fact.definite = false,
-            }
-            vars.insert(name.clone(), fact);
+        Flow {
+            bits,
+            reachable: self.reachable && next.reachable,
         }
-        for (name, b) in &other.vars {
-            if !self.vars.contains_key(name) {
-                let mut fact = b.clone();
-                fact.definite = false;
-                vars.insert(name.clone(), fact);
-            }
-        }
-        State {
-            vars,
-            reachable: true,
-        }
+    }
+
+    /// The fixpoint at the head of a loop entered in `self` whose body
+    /// maps the head state by `body`: `self ⊔ body(self)`, because
+    /// `body∘body = body`.
+    fn loop_head(&self, body: &Flow) -> Flow {
+        let mut head = self.clone();
+        head.join(&self.then(body));
+        head
     }
 }
 
 struct Analyzer<'a> {
     known_functions: &'a HashSet<String>,
     table: SymbolTable,
-    var_index: HashMap<String, VarId>,
-    /// States captured at `break` / `continue` sites of the innermost loop.
-    break_states: Vec<State>,
-    continue_states: Vec<State>,
+    /// `u64`s per bit plane.
+    words: usize,
+    /// False in the summarizing walk, true in the annotating walk.
+    annotate: bool,
+    /// Each loop body's effect from its head back to its head (the
+    /// fall-through and `continue` paths joined), in loop pre-order: the
+    /// summarizing walk fills it, the annotating walk reads it.
+    summaries: Vec<Flow>,
+    /// The annotating walk's position in `summaries`.
+    next_loop: usize,
+    /// Joined states at the `break` / `continue` sites of the innermost
+    /// loop.
+    breaks: Option<Flow>,
+    continues: Option<Flow>,
+}
+
+fn join_into(acc: &mut Option<Flow>, state: Flow) {
+    match acc {
+        Some(a) => a.join(&state),
+        None => *acc = Some(state),
+    }
 }
 
 impl<'a> Analyzer<'a> {
-    fn intern(&mut self, name: &str) -> VarId {
-        if let Some(&id) = self.var_index.get(name) {
-            return id;
-        }
-        let id = VarId(self.table.vars.len() as u32);
-        self.table.vars.push(name.to_owned());
-        self.var_index.insert(name.to_owned(), id);
-        id
-    }
-
-    fn record_use(&mut self, id: NodeId, name: &str, state: &State) -> SymbolKind {
-        let kind = match state.vars.get(name) {
-            Some(fact) if fact.definite => SymbolKind::Variable(self.intern(name)),
-            Some(fact) if !fact.defs.is_empty() => SymbolKind::Ambiguous(self.intern(name)),
-            _ => {
-                if let Some(b) = Builtin::lookup(name) {
-                    SymbolKind::Builtin(b)
-                } else if self.known_functions.contains(name) {
-                    SymbolKind::UserFunction
-                } else {
-                    SymbolKind::Unknown
+    /// Intern every name a statement list can define, in the order the
+    /// definitions appear.
+    fn intern_block(&mut self, stmts: &[Stmt]) {
+        for s in stmts {
+            match &s.kind {
+                StmtKind::Assign { lhs, .. } => {
+                    self.table.intern(lhs.name());
                 }
-            }
-        };
-        if let Some(fact) = state.vars.get(name) {
-            if !fact.defs.is_empty() {
-                self.table
-                    .ud_chains
-                    .insert(id, fact.defs.iter().copied().collect());
-            }
-        }
-        self.table.symbols.insert(id, kind);
-        kind
-    }
-
-    fn visit_expr(&mut self, e: &Expr, state: &State) {
-        match &e.kind {
-            ExprKind::Ident(name) => {
-                self.record_use(e.id, name, state);
-            }
-            ExprKind::Apply { callee, args } => {
-                self.record_use(e.id, callee, state);
-                for a in args {
-                    self.visit_expr(a, state);
-                }
-            }
-            ExprKind::Range { start, step, stop } => {
-                self.visit_expr(start, state);
-                if let Some(s) = step {
-                    self.visit_expr(s, state);
-                }
-                self.visit_expr(stop, state);
-            }
-            ExprKind::Unary { operand, .. } => self.visit_expr(operand, state),
-            ExprKind::Binary { lhs, rhs, .. } => {
-                self.visit_expr(lhs, state);
-                self.visit_expr(rhs, state);
-            }
-            ExprKind::Matrix(rows) => {
-                for row in rows {
-                    for el in row {
-                        self.visit_expr(el, state);
+                StmtKind::MultiAssign { lhs, .. } => {
+                    for lv in lhs {
+                        self.table.intern(lv.name());
                     }
                 }
-            }
-            ExprKind::Transpose { operand, .. } => self.visit_expr(operand, state),
-            ExprKind::Number { .. } | ExprKind::Str(_) | ExprKind::Colon | ExprKind::End => {}
-        }
-    }
-
-    fn define_lvalue(&mut self, lv: &LValue, state: &mut State) {
-        match lv {
-            LValue::Var { name, id, .. } => {
-                let vid = self.intern(name);
-                state.define(name, *id, true);
-                self.table.symbols.insert(*id, SymbolKind::Variable(vid));
-            }
-            LValue::Index { name, args, id, .. } => {
-                // `A(i) = …` *uses* A (it must exist or be growable) and
-                // defines it. Record the use first against the incoming
-                // state, then the def.
-                for a in args {
-                    self.visit_expr(a, state);
+                StmtKind::If {
+                    branches,
+                    else_body,
+                } => {
+                    for (_, body) in branches {
+                        self.intern_block(body);
+                    }
+                    if let Some(body) = else_body {
+                        self.intern_block(body);
+                    }
                 }
-                let vid = self.intern(name);
-                // Indexed assignment to an undefined name creates the
-                // array in MATLAB, so it is a definition either way.
-                self.record_use(*id, name, state);
-                state.define(name, *id, true);
-                self.table.symbols.insert(*id, SymbolKind::Variable(vid));
+                StmtKind::While { body, .. } => self.intern_block(body),
+                StmtKind::For { var, body, .. } => {
+                    self.table.intern(var);
+                    self.intern_block(body);
+                }
+                StmtKind::Global(names) => {
+                    for n in names {
+                        self.table.intern(n);
+                    }
+                }
+                StmtKind::Expr { .. }
+                | StmtKind::Break
+                | StmtKind::Continue
+                | StmtKind::Return
+                | StmtKind::Clear(_) => {}
             }
         }
     }
 
-    fn visit_block(&mut self, stmts: &[Stmt], mut state: State) -> State {
-        for s in stmts {
-            if !state.reachable {
-                // Dead code after return/break: still analyze with an
-                // empty-ish state so annotations exist.
-                state.reachable = true;
+    fn var(&self, name: &str) -> VarId {
+        self.table.var_id(name).expect("definitions are interned")
+    }
+
+    fn record(&mut self, id: NodeId, kind: SymbolKind) {
+        if self.annotate {
+            self.table.symbols.insert(id, kind);
+        }
+    }
+
+    /// What `name` means when it is not a variable here.
+    fn callable(&self, name: &str) -> SymbolKind {
+        if let Some(b) = Builtin::lookup(name) {
+            SymbolKind::Builtin(b)
+        } else if self.known_functions.contains(name) {
+            SymbolKind::UserFunction
+        } else {
+            SymbolKind::Unknown
+        }
+    }
+
+    fn record_use(&mut self, id: NodeId, name: &str, state: &Flow) {
+        let kind = match self.table.var_id(name) {
+            Some(v) if state.get(MUST, v) => SymbolKind::Variable(v),
+            Some(v) if state.get(GEN, v) => SymbolKind::Ambiguous(v),
+            _ => self.callable(name),
+        };
+        self.table.symbols.insert(id, kind);
+    }
+
+    /// Annotate the symbol uses in `e` (the summarizing walk skips them:
+    /// uses do not change the state).
+    fn visit_expr(&mut self, e: &Expr, state: &Flow) {
+        if self.annotate {
+            e.walk(&mut |x| {
+                if let ExprKind::Ident(name) | ExprKind::Apply { callee: name, .. } = &x.kind {
+                    self.record_use(x.id, name, state);
+                }
+            });
+        }
+    }
+
+    fn define_lvalue(&mut self, lv: &LValue, state: &mut Flow) {
+        if let LValue::Index { args, .. } = lv {
+            // `A(i) = …` uses its subscripts against the incoming state.
+            // Indexed assignment to an undefined name creates the array
+            // in MATLAB, so it is a definition either way.
+            for a in args {
+                self.visit_expr(a, state);
             }
+        }
+        let v = self.var(lv.name());
+        state.define(v);
+        self.record(lv.id(), SymbolKind::Variable(v));
+    }
+
+    fn visit_block(&mut self, stmts: &[Stmt], mut state: Flow) -> Flow {
+        for s in stmts {
+            // Dead code after return/break is still analyzed, with the
+            // facts at the jump, so annotations exist.
+            state.reachable = true;
             state = self.visit_stmt(s, state);
         }
         state
     }
 
-    fn visit_stmt(&mut self, s: &Stmt, mut state: State) -> State {
+    fn visit_stmt(&mut self, s: &Stmt, mut state: Flow) -> Flow {
         match &s.kind {
             StmtKind::Expr { expr, .. } => {
                 self.visit_expr(expr, &state);
@@ -294,14 +385,8 @@ impl<'a> Analyzer<'a> {
                     self.visit_expr(a, &state);
                 }
                 // Multi-assign callees are always calls, never indexing.
-                let kind = if let Some(b) = Builtin::lookup(callee) {
-                    SymbolKind::Builtin(b)
-                } else if self.known_functions.contains(callee) {
-                    SymbolKind::UserFunction
-                } else {
-                    SymbolKind::Unknown
-                };
-                self.table.symbols.insert(*id, kind);
+                let kind = self.callable(callee);
+                self.record(*id, kind);
                 for lv in lhs {
                     self.define_lvalue(lv, &mut state);
                 }
@@ -311,45 +396,28 @@ impl<'a> Analyzer<'a> {
                 branches,
                 else_body,
             } => {
-                let mut out: Option<State> = None;
-                let fall = state.clone();
+                // Every arm's condition is reached in the incoming state.
+                let mut out: Option<Flow> = None;
                 for (cond, body) in branches {
-                    self.visit_expr(cond, &fall);
-                    let branch_out = self.visit_block(body, fall.clone());
-                    out = Some(match out {
-                        Some(o) => o.join(&branch_out),
-                        None => branch_out,
-                    });
-                    // `fall` models reaching the next arm's condition.
+                    self.visit_expr(cond, &state);
+                    let branch_out = self.visit_block(body, state.clone());
+                    join_into(&mut out, branch_out);
                 }
                 let else_out = match else_body {
-                    Some(body) => self.visit_block(body, fall),
-                    None => fall,
+                    Some(body) => self.visit_block(body, state),
+                    None => state,
                 };
                 match out {
-                    Some(o) => o.join(&else_out),
+                    Some(mut o) => {
+                        o.join(&else_out);
+                        o
+                    }
                     None => else_out,
                 }
             }
             StmtKind::While { cond, body } => {
-                // Two-pass fixpoint: facts have bounded height, so a second
-                // pass with the first pass's maybe-defs folded in reaches
-                // the fixpoint.
-                self.visit_expr(cond, &state);
-                let saved_breaks = std::mem::take(&mut self.break_states);
-                let saved_continues = std::mem::take(&mut self.continue_states);
-                let first = self.visit_block(body, state.clone());
-                let looped = state.join(&first);
-                self.break_states.clear();
-                self.continue_states.clear();
-                self.visit_expr(cond, &looped);
-                let second = self.visit_block(body, looped.clone());
-                let mut exit = state.join(&looped).join(&second);
-                for b in std::mem::replace(&mut self.break_states, saved_breaks) {
-                    exit = exit.join(&b);
-                }
-                self.continue_states = saved_continues;
-                exit
+                let (head, out, breaks) = self.visit_loop(Some(cond), body, &state);
+                loop_exit(state, &head, &out, breaks)
             }
             StmtKind::For {
                 var,
@@ -358,36 +426,23 @@ impl<'a> Analyzer<'a> {
                 body,
             } => {
                 self.visit_expr(iter, &state);
-                let vid = self.intern(var);
-                self.table
-                    .symbols
-                    .insert(*var_id, SymbolKind::Variable(vid));
+                let v = self.var(var);
+                self.record(*var_id, SymbolKind::Variable(v));
                 // The induction variable is definitely assigned inside the
                 // body; after the loop it is only maybe-assigned (empty
                 // ranges skip the body entirely).
                 let mut body_in = state.clone();
-                body_in.define(var, *var_id, true);
-                let saved_breaks = std::mem::take(&mut self.break_states);
-                let saved_continues = std::mem::take(&mut self.continue_states);
-                let first = self.visit_block(body, body_in.clone());
-                let looped = body_in.join(&first);
-                self.break_states.clear();
-                self.continue_states.clear();
-                let second = self.visit_block(body, looped.clone());
-                let mut exit = state.join(&looped).join(&second);
-                for b in std::mem::replace(&mut self.break_states, saved_breaks) {
-                    exit = exit.join(&b);
-                }
-                self.continue_states = saved_continues;
-                exit
+                body_in.define(v);
+                let (head, out, breaks) = self.visit_loop(None, body, &body_in);
+                loop_exit(state, &head, &out, breaks)
             }
             StmtKind::Break => {
-                self.break_states.push(state.clone());
+                join_into(&mut self.breaks, state.clone());
                 state.reachable = false;
                 state
             }
             StmtKind::Continue => {
-                self.continue_states.push(state.clone());
+                join_into(&mut self.continues, state.clone());
                 state.reachable = false;
                 state
             }
@@ -396,10 +451,9 @@ impl<'a> Analyzer<'a> {
                 state
             }
             StmtKind::Global(names) => {
+                // Globals are defined elsewhere.
                 for n in names {
-                    let site = NodeId(u32::MAX); // globals defined elsewhere
-                    self.intern(n);
-                    state.define(n, site, true);
+                    state.define(self.var(n));
                 }
                 state
             }
@@ -408,13 +462,64 @@ impl<'a> Analyzer<'a> {
                     state.clear_all();
                 } else {
                     for n in names {
-                        state.clear_var(n);
+                        if let Some(v) = self.table.var_id(n) {
+                            state.clear(v);
+                        }
                     }
                 }
                 state
             }
         }
     }
+
+    /// A loop whose body is first entered in `entry`. Returns the state
+    /// at the head of the body (the fixpoint over all trips), the body's
+    /// fall-through state and the join of its `break` states. `continue`
+    /// states flow back to the head.
+    fn visit_loop(
+        &mut self,
+        cond: Option<&Expr>,
+        body: &[Stmt],
+        entry: &Flow,
+    ) -> (Flow, Flow, Option<Flow>) {
+        let saved = (self.breaks.take(), self.continues.take());
+        let result = if self.annotate {
+            let head = entry.loop_head(&self.summaries[self.next_loop]);
+            self.next_loop += 1;
+            if let Some(c) = cond {
+                self.visit_expr(c, &head);
+            }
+            let out = self.visit_block(body, head.clone());
+            (head, out, self.breaks.take())
+        } else {
+            let slot = self.summaries.len();
+            self.summaries.push(Flow::undefined(0));
+            let identity = Flow::identity(self.words, self.table.var_count());
+            let out = self.visit_block(body, identity);
+            let mut back = out.clone();
+            if let Some(c) = &self.continues {
+                back.join(c);
+            }
+            let head = entry.loop_head(&back);
+            let breaks = self.breaks.take().map(|b| head.then(&b));
+            let out = head.then(&out);
+            self.summaries[slot] = back;
+            (head, out, breaks)
+        };
+        (self.breaks, self.continues) = saved;
+        result
+    }
+}
+
+/// The state after a loop entered in `entry`: it may run no trip, stop
+/// at the head, fall out of the body or break.
+fn loop_exit(mut entry: Flow, head: &Flow, out: &Flow, breaks: Option<Flow>) -> Flow {
+    entry.join(head);
+    entry.join(out);
+    if let Some(b) = breaks {
+        entry.join(&b);
+    }
+    entry
 }
 
 /// Disambiguate the symbols of one function (paper Figure 1, pass 2).
@@ -429,21 +534,28 @@ pub fn disambiguate(
     let mut a = Analyzer {
         known_functions,
         table: SymbolTable::default(),
-        var_index: HashMap::new(),
-        break_states: Vec::new(),
-        continue_states: Vec::new(),
+        words: 0,
+        annotate: false,
+        summaries: Vec::new(),
+        next_loop: 0,
+        breaks: None,
+        continues: None,
     };
-    let mut state = State::entry();
-    // Formal parameters are defined at entry (definition site: the header,
-    // which has no node id — use a pseudo id outside the file's range).
+    for name in function.params.iter().chain(&function.outputs) {
+        a.table.intern(name);
+    }
+    a.intern_block(&function.body);
+    a.words = a.table.var_count().div_ceil(64);
+    // Formal parameters are defined at entry.
+    let mut entry = Flow::undefined(a.words);
     for p in &function.params {
-        a.intern(p);
-        state.define(p, NodeId(u32::MAX - 1), true);
+        entry.define(a.var(p));
     }
-    for o in &function.outputs {
-        a.intern(o);
-    }
-    a.visit_block(&function.body, state);
+    a.visit_block(&function.body, entry.clone());
+    a.annotate = true;
+    a.breaks = None;
+    a.continues = None;
+    a.visit_block(&function.body, entry);
     DisambiguatedFunction {
         function: function.clone(),
         table: a.table,
@@ -629,26 +741,6 @@ mod tests {
     fn shadowing_a_builtin() {
         let d = analyze("function f()\npi = 3;\ny = pi;\n");
         assert!(matches!(kind_of(&d, "pi")[0], SymbolKind::Variable(_)));
-    }
-
-    #[test]
-    fn ud_chains_link_uses_to_defs() {
-        let d = analyze("function f(c)\nif c > 0\n t = 1;\nelse\n t = 2;\nend\nu = t;\n");
-        // The use of t should have two reaching defs.
-        let use_id = {
-            let mut found = None;
-            for stmt in &d.function.body {
-                if let StmtKind::Assign { rhs, .. } = &stmt.kind {
-                    rhs.walk(&mut |e| {
-                        if matches!(&e.kind, ExprKind::Ident(n) if n == "t") {
-                            found = Some(e.id);
-                        }
-                    });
-                }
-            }
-            found.unwrap()
-        };
-        assert_eq!(d.table.ud_chains[&use_id].len(), 2);
     }
 
     #[test]

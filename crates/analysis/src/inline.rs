@@ -10,7 +10,8 @@
 //! assignments; the callee body is spliced in with all local variables
 //! renamed, wrapped in a single-trip `for` loop so that top-level
 //! `return`s become `break`s. Functions whose `return` sits inside one of
-//! their own loops, or that touch globals, are not inlined.
+//! their own loops, that touch globals, or that may read a local while it
+//! still means a builtin or function of the same name, are not inlined.
 //!
 //! The "copies of the actual parameters" taken for written formals are
 //! plain assignments (`__inlN_p = actual;`). With the runtime's
@@ -19,7 +20,9 @@
 //! actual's buffer turns out to be uniquely owned by then. Read-only
 //! formals skip even the binding.
 
+use crate::disambig::{disambiguate, SymbolKind};
 use majic_ast::{BinOp, Expr, ExprKind, Function, LValue, NodeId, Span, Stmt, StmtKind};
+use majic_runtime::builtins::Builtin;
 use std::collections::{HashMap, HashSet};
 
 /// Inliner configuration.
@@ -58,6 +61,7 @@ pub fn inline_function(
         tmp_counter: 0,
         depth: HashMap::new(),
         defined: function.params.iter().cloned().collect(),
+        callable_reads: HashMap::new(),
     };
     let mut out = function.clone();
     out.body = ctx.expand_block(&out.body, &local_names(function));
@@ -148,6 +152,78 @@ fn has_return_in_loop(stmts: &[Stmt], in_loop: bool) -> bool {
     })
 }
 
+/// A local of `f` read where it may still be unassigned, whose name also
+/// resolves as a builtin or a user function. Such a read means that
+/// builtin or function until the local is assigned (paper Figure 2's
+/// `i`); renaming the local on inlining would make it `Undefined`.
+fn callable_read_before_assignment(
+    f: &Function,
+    registry: &HashMap<String, Function>,
+) -> Option<String> {
+    /// The statements' top-level expressions, in source order.
+    fn roots<'e>(stmts: &'e [Stmt], out: &mut Vec<&'e Expr>) {
+        for s in stmts {
+            match &s.kind {
+                StmtKind::Expr { expr, .. } => out.push(expr),
+                StmtKind::Assign { lhs, rhs, .. } => {
+                    out.push(rhs);
+                    if let LValue::Index { args, .. } = lhs {
+                        out.extend(args);
+                    }
+                }
+                StmtKind::MultiAssign { lhs, args, .. } => {
+                    out.extend(args);
+                    for lv in lhs {
+                        if let LValue::Index { args, .. } = lv {
+                            out.extend(args);
+                        }
+                    }
+                }
+                StmtKind::If {
+                    branches,
+                    else_body,
+                } => {
+                    for (cond, body) in branches {
+                        out.push(cond);
+                        roots(body, out);
+                    }
+                    if let Some(body) = else_body {
+                        roots(body, out);
+                    }
+                }
+                StmtKind::While { cond, body } => {
+                    out.push(cond);
+                    roots(body, out);
+                }
+                StmtKind::For { iter, body, .. } => {
+                    out.push(iter);
+                    roots(body, out);
+                }
+                _ => {}
+            }
+        }
+    }
+    let locals = local_names(f);
+    let table = disambiguate(f, &HashSet::new()).table;
+    let mut exprs = Vec::new();
+    roots(&f.body, &mut exprs);
+    let mut found = None;
+    for root in exprs {
+        root.walk(&mut |e| match &e.kind {
+            ExprKind::Ident(n) | ExprKind::Apply { callee: n, .. }
+                if found.is_none()
+                    && locals.contains(n)
+                    && !matches!(table.kind(e.id), SymbolKind::Variable(_))
+                    && (Builtin::lookup(n).is_some() || registry.contains_key(n)) =>
+            {
+                found = Some(n.clone());
+            }
+            _ => {}
+        });
+    }
+    found
+}
+
 fn has_globals_or_clear(stmts: &[Stmt]) -> bool {
     stmts.iter().any(|s| match &s.kind {
         StmtKind::Global(_) | StmtKind::Clear(_) => true,
@@ -178,6 +254,8 @@ struct Inliner<'a> {
     /// body is spliced ahead of it. Conditionally-assigned names
     /// (if/while/for bodies) are deliberately excluded.
     defined: HashSet<String>,
+    /// [`callable_read_before_assignment`] per callee, computed once.
+    callable_reads: HashMap<String, Option<String>>,
 }
 
 /// Does this expression contain a contextual `end` or `:` that would
@@ -228,7 +306,7 @@ impl<'a> Inliner<'a> {
     /// user function at all (builtin or unknown — not an inlining
     /// decision), `Err(Some(reason))` a user function rejected for a
     /// reportable reason.
-    fn eligibility(&self, name: &str) -> Result<&'a Function, Option<String>> {
+    fn eligibility(&mut self, name: &str) -> Result<&'a Function, Option<String>> {
         let Some(f) = self.registry.get(name) else {
             return Err(None);
         };
@@ -257,13 +335,23 @@ impl<'a> Inliner<'a> {
                 self.opts.max_recursion
             )));
         }
+        let registry = self.registry;
+        if let Some(n) = self
+            .callable_reads
+            .entry(name.to_owned())
+            .or_insert_with(|| callable_read_before_assignment(f, registry))
+        {
+            return Err(Some(format!(
+                "reads local `{n}` where it may still be the builtin or function `{n}`"
+            )));
+        }
         Ok(f)
     }
 
     /// [`Inliner::eligibility`] plus an audit verdict for every decision
     /// about a *user* function (builtins never reach the inliner's
     /// decision and would only be noise).
-    fn eligible(&self, name: &str) -> Option<&'a Function> {
+    fn eligible(&mut self, name: &str) -> Option<&'a Function> {
         match self.eligibility(name) {
             Ok(f) => {
                 majic_trace::audit::inline_verdict(|| majic_trace::audit::InlineVerdict {

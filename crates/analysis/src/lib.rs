@@ -5,8 +5,9 @@
 //!   by a variation of reaching-definitions analysis: *a symbol that has a
 //!   reaching definition as a variable on all paths leading to it must be
 //!   a variable*. Ambiguous symbols (the paper's Figure 2: `i` used both
-//!   as √−1 and as a loop-carried variable) are deferred to runtime.
-//! * Use-def chains, produced as a byproduct of the same dataflow.
+//!   as √−1 and as a loop-carried variable) are deferred to runtime. The
+//!   pass takes time linear in the function's size (see the `disambig`
+//!   module docs), however deeply its loops nest.
 //! * The static symbol table: every variable of a function gets a dense
 //!   [`VarId`] used by the code generators for frame-slot addressing.
 //! * [`inline_function`] — the function inliner (paper §2.6.1): calls to

@@ -10,9 +10,11 @@
 //!
 //! * `--seed N`      — first seed (default 0); iteration `i` uses seed `N+i`.
 //! * `--iters N`     — number of programs to run (default 1000).
-//! * `--grammar M`   — `default` or `aliasing` (the CoW-stress grammar:
+//! * `--grammar M`   — `default`, `aliasing` (the CoW-stress grammar:
 //!   alias binds, mutation of either alias, self-referential updates,
-//!   growth after aliasing, duplicated actuals).
+//!   growth after aliasing, duplicated actuals) or `control` (guarded
+//!   `break`/`continue`, early `return` in callees, conditionally
+//!   shadowed builtins).
 //! * `--json`        — machine-readable summary on stdout.
 //! * `--artifacts D` — write each shrunk reproducer to `D/repro-<seed>.m`
 //!   (created on first failure; CI uploads this).
@@ -56,6 +58,7 @@ fn parse_args() -> Result<Options, String> {
                 o.grammar = match v.as_str() {
                     "default" => Grammar::Default,
                     "aliasing" => Grammar::Aliasing,
+                    "control" => Grammar::Control,
                     other => return Err(format!("unknown grammar {other:?}")),
                 };
             }
@@ -66,7 +69,7 @@ fn parse_args() -> Result<Options, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: fuzz_differential [--seed N] [--iters N] [--grammar default|aliasing] [--json] [--artifacts DIR]"
+                    "usage: fuzz_differential [--seed N] [--iters N] [--grammar default|aliasing|control] [--json] [--artifacts DIR]"
                 );
                 std::process::exit(0);
             }
@@ -139,6 +142,7 @@ fn main() {
             match opts.grammar {
                 Grammar::Default => "default",
                 Grammar::Aliasing => "aliasing",
+                Grammar::Control => "control",
             },
             stats.ok_cases,
             stats.err_cases

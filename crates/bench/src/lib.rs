@@ -78,6 +78,26 @@ mod tests {
     }
 
     #[test]
+    fn clean_control_seeds_stay_clean() {
+        // Guarded break/continue, early returns and shadowed builtins
+        // stress disambiguation and the inliner's return lowering.
+        for seed in 0..25 {
+            let (report, failure) = run_seed_with(seed, Grammar::Control);
+            assert!(
+                failure.is_none(),
+                "control seed {seed} diverged:\n{}\nreproducer:\n{}",
+                report
+                    .divergences
+                    .iter()
+                    .map(ToString::to_string)
+                    .collect::<Vec<_>>()
+                    .join("\n"),
+                failure.map(|f| f.reproducer()).unwrap_or_default(),
+            );
+        }
+    }
+
+    #[test]
     fn corpus_text_replays() {
         let p = fuzzgen::generate(3);
         let dir = std::env::temp_dir();

@@ -1525,21 +1525,14 @@ impl<'a> Gen<'a> {
                 RVal::Slot(dst)
             }
             SymbolKind::Ambiguous(v) => {
-                // Runtime decides: variable indexing vs call. Compile the
-                // conservative generic form through ResolveAmbiguous of
-                // the base, then IndexGet.
+                // Runtime decides: variable indexing vs call, with the
+                // same operands either way.
                 let base = match self.var_loc(v) {
                     VarLoc::Slot(s) => Operand::Slot(s),
                     VarLoc::F(r) => Operand::F(r),
                     VarLoc::C(r) => Operand::C(r),
                 };
-                let resolved = self.fresh_slot();
-                self.emit(Inst::Gen {
-                    op: GenOp::ResolveAmbiguous(callee.to_owned()),
-                    dsts: vec![resolved],
-                    args: vec![base],
-                });
-                let mut gen_args = vec![Operand::Slot(resolved)];
+                let mut gen_args = vec![base];
                 for a in args {
                     if matches!(a.kind, ExprKind::Colon) {
                         gen_args.push(Operand::Colon);
@@ -1550,7 +1543,7 @@ impl<'a> Gen<'a> {
                 }
                 let dst = self.fresh_slot();
                 self.emit(Inst::Gen {
-                    op: GenOp::IndexGet,
+                    op: GenOp::ResolveAmbiguous(callee.to_owned()),
                     dsts: vec![dst],
                     args: gen_args,
                 });

@@ -98,6 +98,9 @@ pub(crate) struct ForwardEngine<'a, O: CalleeOracle> {
     pub(crate) ann: Annotations,
     pub(crate) break_envs: Vec<Env>,
     pub(crate) continue_envs: Vec<Env>,
+    /// Join of the environments at `return` statements: they reach the
+    /// function exit too.
+    pub(crate) return_env: Option<Env>,
 }
 
 /// JIT type inference: propagate the invocation's type signature through
@@ -133,6 +136,7 @@ pub fn infer_jit<O: CalleeOracle>(
         ann: Annotations::default(),
         break_envs: Vec::new(),
         continue_envs: Vec::new(),
+        return_env: None,
     };
     engine.run(params)
 }
@@ -147,7 +151,10 @@ impl<O: CalleeOracle> ForwardEngine<'_, O> {
             }
         }
         self.ann.params = params;
-        let out_env = self.block(&self.d.function.body, env);
+        let mut out_env = self.block(&self.d.function.body, env);
+        if let Some(r) = self.return_env.take() {
+            out_env = join_env(&out_env, &r);
+        }
         self.ann.outputs = self
             .d
             .function
@@ -262,7 +269,13 @@ impl<O: CalleeOracle> ForwardEngine<'_, O> {
                 self.continue_envs.push(env.clone());
                 env
             }
-            StmtKind::Return => env,
+            StmtKind::Return => {
+                self.return_env = Some(match self.return_env.take() {
+                    Some(r) => join_env(&r, &env),
+                    None => env.clone(),
+                });
+                env
+            }
             StmtKind::Global(names) => {
                 for n in names {
                     if let Some(v) = self.d.table.var_id(n) {
@@ -813,6 +826,22 @@ mod tests {
             vec![Type::constant(1.0)],
         );
         assert_eq!(type_of_assign(&d, &ann, "y"), Type::top());
+    }
+
+    #[test]
+    fn early_return_types_reach_the_outputs() {
+        // The `return` inside the loop leaves with a scalar `r`; the
+        // later `r = size(k)` must not be the whole story.
+        let (_, ann) = setup(
+            "function r = f(x)\nfor k = 1:1\n if x\n  r = 0;\n  return\n end\nend\nr = size(k);\n",
+            vec![Type::constant(1.0)],
+        );
+        assert!(
+            Type::constant(0.0).is_subtype_of(&ann.outputs[0]),
+            "{}",
+            ann.outputs[0]
+        );
+        assert!(!ann.outputs[0].is_scalar(), "{}", ann.outputs[0]);
     }
 
     #[test]

@@ -129,6 +129,7 @@ pub fn infer_speculative<O: CalleeOracle>(
         ann: Annotations::default(),
         break_envs: Vec::new(),
         continue_envs: Vec::new(),
+        return_env: None,
     };
     let ann = engine.run(sig_types);
     (sig, ann)

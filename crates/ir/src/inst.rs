@@ -219,8 +219,10 @@ pub enum GenOp {
     /// User-function call, dispatched through the engine.
     CallUser(String),
     /// Resolve a possibly-undefined symbol at runtime (the paper's
-    /// "ambiguous symbols … deferred until runtime"): if the slot is
-    /// defined use it, else call the builtin/function of that name.
+    /// "ambiguous symbols … deferred until runtime"): if the slot (the
+    /// first operand) is defined use it, indexed by the remaining
+    /// operands if any, else call the builtin/function of that name with
+    /// the remaining operands as arguments.
     ResolveAmbiguous(String),
     /// `dst = alpha*A*x + beta*y` — the fused dgemv selection (§2.6.1).
     Gemv,

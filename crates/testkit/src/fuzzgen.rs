@@ -21,6 +21,9 @@
 //!   (`g = k; while (g > 0) & cond; g = g - 1; …`);
 //! * the call graph is a DAG — `f0` may call `f1`/`f2`, never itself.
 //!
+//! The control grammar's `break`/`continue`/`return` only ever leave a
+//! loop or a function early, so they keep all three guarantees.
+//!
 //! Infinity is also excluded from the entry-argument pool: a literal
 //! infinite `for` bound is the one known semantic gap between the
 //! interpreter (which materializes the iteration space and fails on
@@ -45,6 +48,14 @@ pub enum Grammar {
     /// write to their formals. Programs stay terminating by the same
     /// construction rules as the default grammar.
     Aliasing,
+    /// Control-flow mode: adds guarded `break` / `continue` in loop
+    /// bodies (some defining a variable on the jump path only), early
+    /// `return` in callees (which the inliner lowers to a single-trip
+    /// loop), and conditional definitions and uses of the names that
+    /// shadow builtins (`i`, `j`, `pi`, `eps`). A `while` body's
+    /// statements follow its guard decrement, so a `continue` cannot
+    /// skip it and loops still terminate.
+    Control,
 }
 
 /// An entry-point argument, engine-agnostic.
@@ -118,6 +129,12 @@ pub enum Stmt {
         /// Body (guard decrement is emitted automatically).
         body: Vec<Stmt>,
     },
+    /// `break;`
+    Break,
+    /// `continue;`
+    Continue,
+    /// `return;`
+    Return,
 }
 
 /// One generated function.
@@ -365,6 +382,9 @@ impl Stmt {
                 write_block(f, body, indent + 1)?;
                 writeln!(f, "{pad}end")
             }
+            Stmt::Break => writeln!(f, "{pad}break;"),
+            Stmt::Continue => writeln!(f, "{pad}continue;"),
+            Stmt::Return => writeln!(f, "{pad}return;"),
         }
     }
 }
@@ -415,6 +435,9 @@ const UNARY_BUILTINS: [&str; 6] = ["abs", "floor", "sqrt", "sum", "length", "num
 /// code speculative compilation guesses about.
 const CREATION_BUILTINS: [&str; 4] = ["zeros", "ones", "rand", "eye"];
 
+/// Names that read as builtins until a program assigns them.
+const SHADOWING_NAMES: [&str; 4] = ["i", "j", "pi", "eps"];
+
 struct Gen {
     rng: Rng,
     /// Remaining statement budget for the whole program.
@@ -445,6 +468,9 @@ struct Scope {
     /// (either side) — the aliasing grammar's preferred mutation
     /// targets.
     aliases: Vec<String>,
+    /// Generating a callee (not the entry), where the control grammar
+    /// may `return` early.
+    callee: bool,
 }
 
 impl Scope {
@@ -507,6 +533,10 @@ impl Gen {
 
     /// A general expression (any shape, any value). Depth-limited.
     fn expr(&mut self, sc: &Scope, depth: u32) -> Expr {
+        if self.grammar == Grammar::Control && depth == 0 && self.rng.below(6) == 0 {
+            // A shadowing name read whether or not it is assigned yet.
+            return Expr::Var((*self.rng.choose(&SHADOWING_NAMES)).into());
+        }
         if depth == 0 {
             return match self.rng.weighted(&[3, 4]) {
                 0 => Expr::Num(*self.rng.choose(&LIT_POOL)),
@@ -691,10 +721,66 @@ impl Gen {
         }
     }
 
+    /// One statement from the control-flow production set.
+    fn control_stmt(&mut self, sc: &mut Scope) -> Stmt {
+        // Loop-control variables are live exactly inside loop bodies.
+        let in_loop = !sc.protected.is_empty();
+        let w = [
+            if in_loop { 4 } else { 0 },
+            if sc.callee { 2 } else { 0 },
+            2,
+        ];
+        let c = self.cond(sc);
+        match self.rng.weighted(&w) {
+            0 => {
+                // `if c; [t = …;] break|continue; end`: a definition
+                // that reaches later code only along the jump.
+                let mut then = Vec::new();
+                if self.rng.coin() {
+                    let name = format!("t{}", self.rng.below(2));
+                    let e = self.tame(sc, 2);
+                    sc.mark(&name, true);
+                    then.push(Stmt::Assign(name, e));
+                }
+                then.push(if self.rng.coin() {
+                    Stmt::Break
+                } else {
+                    Stmt::Continue
+                });
+                Stmt::If(c, then, Vec::new())
+            }
+            1 => {
+                // Early return with the output assigned.
+                let e = self.expr(sc, 2);
+                Stmt::If(
+                    c,
+                    vec![Stmt::Assign("r".into(), e), Stmt::Return],
+                    Vec::new(),
+                )
+            }
+            _ => {
+                // Conditionally shadow a builtin. Not a tame scalar: read
+                // before the assignment it is the builtin (`i` is √−1).
+                let name = *self.rng.choose(&SHADOWING_NAMES);
+                let e = self.tame(sc, 1);
+                sc.mark(name, false);
+                let els = if self.rng.coin() {
+                    Vec::new()
+                } else {
+                    vec![Stmt::Assign("t2".into(), Expr::Var(name.into()))]
+                };
+                Stmt::If(c, vec![Stmt::Assign(name.into(), e)], els)
+            }
+        }
+    }
+
     fn stmt(&mut self, sc: &mut Scope, nesting: u32) -> Stmt {
         self.budget = self.budget.saturating_sub(1);
         if self.grammar == Grammar::Aliasing && !sc.vars.is_empty() && self.rng.below(3) == 0 {
             return self.aliasing_stmt(sc);
+        }
+        if self.grammar == Grammar::Control && self.rng.below(3) == 0 {
+            return self.control_stmt(sc);
         }
         let structural = u32::from(nesting < 2 && self.budget > 3);
         match self
@@ -828,6 +914,7 @@ pub fn generate_with(seed: u64, grammar: Grammar) -> Program {
             callees,
             protected: Vec::new(),
             aliases: Vec::new(),
+            callee: i > 0,
         };
         let len = if i == 0 {
             2 + g.rng.below(4)
@@ -859,7 +946,7 @@ pub fn generate_with(seed: u64, grammar: Grammar) -> Program {
     // Aliasing mode leans on matrix arguments: sharing a scalar buffer
     // is legal but uninteresting.
     let arg_weights: [u32; 2] = match grammar {
-        Grammar::Default => [3, 1],
+        Grammar::Default | Grammar::Control => [3, 1],
         Grammar::Aliasing => [1, 3],
     };
     let args = (0..arities[0])
@@ -1114,6 +1201,7 @@ fn stmt_variants(s: &Stmt) -> Vec<Stmt> {
                 });
             }
         }
+        Stmt::Break | Stmt::Continue | Stmt::Return => {}
     }
     out
 }
@@ -1284,6 +1372,70 @@ mod tests {
             dup_calls > 5,
             "duplicated-actual calls are rare: {dup_calls}"
         );
+    }
+
+    #[test]
+    fn control_grammar_leaves_the_other_grammars_alone() {
+        // Digests of the first 200 programs of each grammar, pinned from
+        // the generator before the control grammar existed.
+        let digest = |g| {
+            let text: String = (0..200)
+                .map(|s| generate_with(s, g).render_corpus())
+                .collect();
+            crate::fnv1a(text.as_bytes())
+        };
+        assert_eq!(digest(Grammar::Default), 0xa945_6980_0208_3dbd);
+        assert_eq!(digest(Grammar::Aliasing), 0xa17b_13b7_97c7_7d4c);
+        assert_eq!(
+            generate_with(42, Grammar::Control).render_corpus(),
+            generate_with(42, Grammar::Control).render_corpus()
+        );
+    }
+
+    #[test]
+    fn control_grammar_emits_jumps_returns_and_shadowed_builtins() {
+        /// Counts of (break, continue, return, shadowing assignment);
+        /// panics on a jump outside a loop.
+        fn walk(stmts: &[Stmt], in_loop: bool, n: &mut [u32; 4]) {
+            for s in stmts {
+                match s {
+                    Stmt::Break | Stmt::Continue => {
+                        assert!(in_loop, "jump outside a loop");
+                        n[usize::from(matches!(s, Stmt::Continue))] += 1;
+                    }
+                    Stmt::Return => n[2] += 1,
+                    Stmt::Assign(v, _) if SHADOWING_NAMES.contains(&v.as_str()) => n[3] += 1,
+                    Stmt::If(_, a, b) => {
+                        walk(a, in_loop, n);
+                        walk(b, in_loop, n);
+                    }
+                    Stmt::For { body, .. } | Stmt::While { body, .. } => walk(body, true, n),
+                    _ => {}
+                }
+            }
+        }
+        let mut n = [0u32; 4];
+        for seed in 0..300 {
+            let p = generate_with(seed, Grammar::Control);
+            for (i, func) in p.funcs.iter().enumerate() {
+                assert!(
+                    matches!(func.body.last(), Some(Stmt::Assign(v, _)) if v == "r"),
+                    "seed {seed}: {} does not end with r = …",
+                    func.name
+                );
+                let returns = n[2];
+                walk(&func.body, false, &mut n);
+                assert!(
+                    i > 0 || n[2] == returns,
+                    "seed {seed}: the entry returns early"
+                );
+            }
+        }
+        let [breaks, continues, returns, shadows] = n;
+        assert!(breaks > 20, "breaks are rare: {breaks}");
+        assert!(continues > 20, "continues are rare: {continues}");
+        assert!(returns > 20, "early returns are rare: {returns}");
+        assert!(shadows > 50, "shadowing assignments are rare: {shadows}");
     }
 
     #[test]

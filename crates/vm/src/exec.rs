@@ -1402,18 +1402,26 @@ fn exec_gen(
         GenOp::ResolveAmbiguous(name) => {
             // Paper §2.1: ambiguous symbols are deferred to runtime — the
             // dynamic meaning is "variable if defined, else builtin, else
-            // user function".
+            // user function". Operands after the first are the subscripts
+            // of `name(…)`, or its arguments when it is a call.
             if let Operand::Slot(s) = &args[0] {
                 if let Some(v) = &m.slots[s.index()] {
-                    let v = v.clone();
+                    let v = if args.len() == 1 {
+                        v.clone()
+                    } else {
+                        let subs: RuntimeResult<Vec<Subscript>> =
+                            args[1..].iter().map(|a| operand_subscript(a, m)).collect();
+                        ops::index_get(v, &subs?)?
+                    };
                     return store_results(dsts, vec![v], m, name);
                 }
             }
-            if let Some(b) = Builtin::lookup(name) {
-                let outs = b.call(ctx, &[], dsts.len().max(1))?;
-                return store_results(dsts, outs, m, name);
-            }
-            let outs = disp.call_user(name, &[], dsts.len().max(1), ctx)?;
+            let vals: RuntimeResult<Vec<Value>> =
+                args[1..].iter().map(|a| operand_value(a, m)).collect();
+            let outs = match Builtin::lookup(name) {
+                Some(b) => b.call(ctx, &vals?, dsts.len().max(1))?,
+                None => disp.call_user(name, &vals?, dsts.len().max(1), ctx)?,
+            };
             store_results(dsts, outs, m, name)
         }
         GenOp::Gemv => {

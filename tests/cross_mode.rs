@@ -173,6 +173,18 @@ fn continue_agrees() {
 }
 
 #[test]
+fn continue_only_definitions_reach_the_loop_head() {
+    // `t` / `i` are assigned only on the path that ends in `continue`;
+    // later trips must still see them as (maybe-)defined variables.
+    let for_src = "function s = cf(n)\ns = 0;\nfor k = 1:n\n if k == 1\n  t = 10;\n  continue\n end\n s = s + t;\nend\n";
+    assert_eq!(run(ExecMode::Interpret, for_src, "cf", &[3.0]), Ok(20.0));
+    agree(for_src, "cf", &[3.0]);
+    let while_src = "function s = cw(n)\ns = 0;\nk = 0;\nwhile k < n\n k = k + 1;\n if k == 1\n  i = 7;\n  continue\n end\n s = s + i;\nend\n";
+    assert_eq!(run(ExecMode::Interpret, while_src, "cw", &[3.0]), Ok(14.0));
+    agree(while_src, "cw", &[3.0]);
+}
+
+#[test]
 fn shadowed_builtin_agrees() {
     agree("function r = sh(x)\npi = x;\nr = pi * 2;\n", "sh", &[5.0]);
 }
